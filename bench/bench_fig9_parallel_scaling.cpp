@@ -20,10 +20,11 @@
 // worker must still deliver its exact exec budget at a throughput within
 // 10% of a fleet launched with N-1 workers in the first place.
 //
-// Set BIGMAP_NETFLEET=1 to additionally federate two coordinator processes
-// over a loopback PeerLink (fuzzer/netfleet) and compare the federation's
-// find-union and exec budget against one fleet of the same total width —
-// the scaling story one level up, across "hosts" instead of cores.
+// Set BIGMAP_NETFLEET=1 to additionally federate coordinator processes over
+// loopback PeerLinks (fuzzer/netfleet: a pair, then a 3-node star) and
+// compare each federation's find-union and exec budget against one fleet
+// of the same total width — the scaling story one level up, across
+// "hosts" instead of cores.
 #include <unistd.h>
 
 #include <algorithm>
@@ -260,7 +261,7 @@ bool netfleet_enabled() {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-void run_federated_section() {
+void run_pair_federation_section() {
   std::printf(
       "\n(e) Federated fleet (two coordinator processes over a loopback "
       "socket, measured): federation union vs one fleet of equal width:\n");
@@ -306,11 +307,11 @@ void run_federated_section() {
   const auto single =
       procfleet::run_process_fleet(target.program, seeds, single_cfg);
 
-  auto a = make_config(root + "/a", 2, 501);
-  auto b = make_config(root + "/b", 2, 503);
-  a.net.node_id = 1;
-  b.net.node_id = 2;
-  const auto fed = netfleet::run_federated_pair(target.program, seeds, a, b);
+  std::vector<procfleet::ProcFleetConfig> pair;
+  pair.push_back(make_config(root + "/a", 2, 501));
+  pair.push_back(make_config(root + "/b", 2, 503));
+  for (auto& fc : pair) fc.failover.election_timeout_ms = 0;
+  const auto fed = netfleet::run_federation(target.program, seeds, pair);
   std::filesystem::remove_all(root);
 
   if (!fed.ok) {
@@ -350,8 +351,8 @@ void run_federated_section() {
                   fmt_count(n.duplicates_dropped), fmt_count(n.reconnects),
                   fmt_count(n.bytes_sent)});
   };
-  add_link("a (listener)", fed.a.net);
-  add_link("b (connector)", fed.b.net);
+  add_link("a (leader)", fed.nodes[0].net);
+  add_link("b (follower)", fed.nodes[1].net);
   bench::emit("federated_link", link);
 
   std::printf(
@@ -381,8 +382,7 @@ void run_star_section() {
       std::filesystem::temp_directory_path() /
       ("bigmap_fig9_star_" + std::to_string(::getpid()));
 
-  const auto make_node = [&](const std::string& dir, u32 node_id, u64 seed,
-                             bool oracle) {
+  const auto make_node = [&](const std::string& dir, u64 seed, bool oracle) {
     procfleet::ProcFleetConfig fc;
     fc.num_workers = 2;
     fc.base.scheme = MapScheme::kTwoLevel;
@@ -397,7 +397,7 @@ void run_star_section() {
     fc.checkpoint_interval = 512;
     fc.persist_dir = dir;
     fc.quarantine_deaths = 0;
-    fc.net.node_id = node_id;
+    fc.failover.election_timeout_ms = 0;
     fc.net_virgin_oracle = oracle;
     return fc;
   };
@@ -405,7 +405,7 @@ void run_star_section() {
   // Reference: one fleet of the federation's total width (6 workers) over
   // the same seed ladder — the drill-pinned union/budget baseline.
   std::filesystem::remove_all(root);
-  auto single_cfg = make_node(root + "/single", 0, 501, false);
+  auto single_cfg = make_node(root + "/single", 501, false);
   single_cfg.num_workers = 6;
   const u64 t0 = monotonic_ns();
   const auto single =
@@ -414,14 +414,13 @@ void run_star_section() {
       static_cast<double>(monotonic_ns() - t0) / 1e9;
 
   const auto run_star = [&](const char* tag, bool oracle,
-                            double* secs) -> netfleet::StarResult {
+                            double* secs) -> netfleet::FederationResult {
     std::vector<procfleet::ProcFleetConfig> nodes;
-    nodes.push_back(
-        make_node(root + "/" + tag + "_hub", 1, 501, oracle));
-    nodes.push_back(make_node(root + "/" + tag + "_s1", 2, 503, oracle));
-    nodes.push_back(make_node(root + "/" + tag + "_s2", 3, 505, oracle));
+    nodes.push_back(make_node(root + "/" + tag + "_hub", 501, oracle));
+    nodes.push_back(make_node(root + "/" + tag + "_s1", 503, oracle));
+    nodes.push_back(make_node(root + "/" + tag + "_s2", 505, oracle));
     const u64 start = monotonic_ns();
-    auto r = netfleet::run_federated_star(target.program, seeds, nodes);
+    auto r = netfleet::run_federation(target.program, seeds, nodes);
     *secs = static_cast<double>(monotonic_ns() - start) / 1e9;
     return r;
   };
@@ -479,20 +478,19 @@ void run_star_section() {
   // that pin down "never echo this back").
   TableWriter filt({"Mode", "records sent", "hash-filtered",
                     "oracle rejected", "bytes tx", "novelty reject ratio"});
-  const auto sum_stats = [](const netfleet::StarResult& r) {
+  const auto sum_stats = [](const netfleet::FederationResult& r) {
     netfleet::LinkStats net;
     corpus::OracleStats oc;
     for (const auto& n : r.nodes) {
-      net.records_sent += n.net.records_sent;
-      net.novelty_filtered += n.net.novelty_filtered;
-      net.bytes_sent += n.net.bytes_sent;
+      net = netfleet::sum_link_stats(net, n.net);
       oc.checked += n.oracle.checked;
       oc.accepted += n.oracle.accepted;
       oc.rejected += n.oracle.rejected;
     }
     return std::make_pair(net, oc);
   };
-  const auto add_filt = [&](const char* mode, const netfleet::StarResult& r) {
+  const auto add_filt = [&](const char* mode,
+                            const netfleet::FederationResult& r) {
     const auto [net, oc] = sum_stats(r);
     const u64 suppressed = net.novelty_filtered + oc.rejected;
     const double ratio =
@@ -608,7 +606,7 @@ int main(int argc, char** argv) {
         "its quarantine-degradation comparison.\n");
   }
   if (netfleet_enabled()) {
-    run_federated_section();
+    run_pair_federation_section();
     run_star_section();
   } else {
     std::printf(

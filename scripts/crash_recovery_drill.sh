@@ -20,12 +20,7 @@ FLEET_DIR="$WORK_DIR/fleet"
 mkdir -p "$WORK_DIR"
 rm -rf "$FLEET_DIR"
 
-RUN_PID=""
-cleanup() {
-  if [ -n "$RUN_PID" ] && kill -0 "$RUN_PID" 2> /dev/null; then
-    kill -9 "$RUN_PID" 2> /dev/null || true
-  fi
-}
+. scripts/drill_lib.sh
 trap cleanup EXIT
 
 echo "== baseline (fault-free, no persistence) =="
@@ -76,7 +71,7 @@ fi
 
 echo
 echo "== statecheck on what the dead process left behind =="
-"$STATECHECK" --fleet "$FLEET_DIR"
+statecheck_audit --fleet fleet "$FLEET_DIR"
 
 echo
 echo "== resume =="
@@ -88,17 +83,8 @@ grep -q '^resumed: 1$' "$WORK_DIR/resume.txt" || {
 
 echo
 echo "== comparing resumed run against the baseline =="
-for key in bug_ids stack_hashes total_execs all_completed; do
-  base_line=$(grep "^$key:" "$WORK_DIR/baseline.txt")
-  res_line=$(grep "^$key:" "$WORK_DIR/resume.txt")
-  if [ "$base_line" != "$res_line" ]; then
-    echo "FAIL: $key diverged after crash recovery" >&2
-    echo "  baseline: $base_line" >&2
-    echo "  resumed : $res_line" >&2
-    exit 1
-  fi
-  echo "  $key ok ($base_line)"
-done
+compare_outputs "resumed " "$WORK_DIR/baseline.txt" "$WORK_DIR/resume.txt" \
+  baseline "after crash recovery"
 
 echo
 echo "crash-recovery drill PASSED"

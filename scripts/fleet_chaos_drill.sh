@@ -27,34 +27,8 @@ WORK_DIR="${1:-$(mktemp -d)}"
 mkdir -p "$WORK_DIR"
 rm -rf "$WORK_DIR/baseline" "$WORK_DIR/storm" "$WORK_DIR/kill"
 
-RUN_PID=""
-cleanup() {
-  if [ -n "$RUN_PID" ] && kill -0 "$RUN_PID" 2> /dev/null; then
-    kill -9 "$RUN_PID" 2> /dev/null || true
-  fi
-  # The coordinator's forked workers are separate processes; -x matches
-  # the exact binary name only, never this shell's own command line.
-  pkill -9 -x fleet_drill 2> /dev/null || true
-}
+. scripts/drill_lib.sh
 trap cleanup EXIT
-
-# Compares the diff-friendly tail of two fleet_drill outputs; any
-# divergence is a drill failure (find-union or exec budget not preserved).
-compare_outputs() {
-  local label=$1 base=$2 got=$3
-  local key base_line got_line
-  for key in bug_ids stack_hashes total_execs all_completed; do
-    base_line=$(grep "^$key:" "$base")
-    got_line=$(grep "^$key:" "$got")
-    if [ "$base_line" != "$got_line" ]; then
-      echo "FAIL: $key diverged ($label)" >&2
-      echo "  baseline: $base_line" >&2
-      echo "  $label: $got_line" >&2
-      exit 1
-    fi
-    echo "  $key ok ($base_line)"
-  done
-}
 
 echo "== baseline (chaos-free process fleet) =="
 "$DRILL" baseline "$WORK_DIR/baseline" | tee "$WORK_DIR/baseline.txt"
@@ -110,12 +84,11 @@ if [ "$STATUS" -ne 137 ]; then
 fi
 # The dead coordinator's forked workers are now orphans; reap them so the
 # resume run owns the fleet directory exclusively.
-pkill -9 -x fleet_drill 2> /dev/null || true
-sleep 0.2
+cleanup
 
 echo
 echo "== statecheck on what the dead coordinator left behind =="
-"$STATECHECK" --fleet "$WORK_DIR/kill"
+statecheck_audit --fleet kill "$WORK_DIR/kill"
 
 echo
 echo "== resume after coordinator kill =="
@@ -133,7 +106,7 @@ echo
 echo "== statecheck on every fleet dir the drill produced =="
 for d in baseline storm kill; do
   echo "-- $WORK_DIR/$d"
-  "$STATECHECK" --fleet "$WORK_DIR/$d"
+  statecheck_audit --fleet "$d" "$WORK_DIR/$d"
 done
 
 echo

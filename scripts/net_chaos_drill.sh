@@ -1,81 +1,95 @@
 #!/usr/bin/env bash
-# Federated network-chaos drill (ISSUE acceptance: netfleet). Four stages
-# over the fixed net_drill campaign shape (4 planted-bug workers total,
-# deterministic timing), comparing one local fleet against a two-coordinator
-# federation joined by a fault-injected loopback PeerLink:
+# Federation chaos drill: every stage of the net_drill campaign shape
+# (planted-bug workers, 10k execs each, deterministic timing), comparing a
+# federation of forked coordinators — each a FailoverMesh node joined by
+# fault-injected loopback PeerLinks — against one local fleet of the same
+# total width. Each federated stage must reproduce its baseline's
+# find-union and exec budget exactly.
+#
+# Pair stages (4 workers in total; content-hash filtering, no elections):
 #
 #   1. single          — one 4-worker fleet, no network; the reference
-#                        find-union and exec budget
-#   2. pair            — federated pair (2 coordinators x 2 workers),
-#                        clean network; must equal single exactly
+#   2. pair            — 2 coordinators x 2 workers, clean network
 #   3. pair-storm      — the full network storm (seeded frame drops,
 #                        delays, torn-frame short writes, connection
-#                        resets, a partition); must equal single exactly
-#   4. pair-partition  — a long mid-campaign partition-and-heal; both
-#                        sides keep fuzzing through the cut, reconcile on
-#                        heal, and must equal single exactly
+#                        resets, a partition)
+#   4. pair-partition  — a long partition-and-heal; both sides keep
+#                        fuzzing through the cut and reconcile on heal
 #
-# Then two star stages over a 6-worker budget, with the virgin-map novelty
-# oracle gating every gateway link (corpus/novelty.h):
+# Star stages (6 workers; the virgin-map novelty oracle gates every link):
 #
 #   5. single-wide     — one 6-worker fleet; the star reference
-#   6. star            — 3-node hub federation (hub + 2 spokes, 2 workers
-#                        each); merged find-union must equal single-wide
+#   6. star            — hub + 2 spokes, 2 workers each, clean network
 #   7. star-storm      — the same star under the network storm
 #
-# net_drill itself self-checks that corpus exchange happened and that the
-# chaos modes actually injected faults and forced reconnects; this script
-# additionally asserts the link diagnostics show the partition was
-# observed. CI runs this as the net-chaos job.
+# Failover stages (8 workers, stretched campaigns; 4 ranks with the oracle,
+# incremental delta sync and elections on every link):
+#
+#   8. single-8        — one 8-worker fleet; the failover reference
+#   9. star4           — clean network, no failures; epoch stays 1
+#  10. failover-kill   — rank 0 (the founding leader) SIGKILLs its process
+#                        group once it has applied its first oracle delta;
+#                        rank 1 is elected into epoch 2, the spokes
+#                        re-home, and the resurrected victim rejoins the
+#                        new epoch as a spoke
+#  11. failover-stale  — same kill, but the victim resurrects stale-fatal:
+#                        it must observe the newer epoch and latch fenced,
+#                        while its local fleet still finishes its budget
+#  12. failover-storm  — the kill plus a seeded network storm (drops,
+#                        delays, torn frames, resets) on the survivors
+#                        while they elect
+#
+# Every fault fires at a point of campaign progress (records put on the
+# wire, oracle deltas applied), never by the clock. net_drill self-checks
+# that each fault engaged and exits non-zero when a stage proved nothing;
+# this script additionally asserts the headline diagnostics and runs
+# statecheck over every federated stage's wreckage — the federation WAL
+# each rank journaled must decode with monotone epochs and well-formed
+# deltas. CI runs this as the net-chaos job.
 #
 # Usage: scripts/net_chaos_drill.sh [work-dir]   (default: mktemp -d)
-# Requires the net_drill binary (`cmake --build build --target net_drill`).
+# Requires net_drill and statecheck
+# (`cmake --build build --target net_drill statecheck`).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 DRILL="$BUILD_DIR/src/fuzzer/net_drill"
+STATECHECK="$BUILD_DIR/src/persist/statecheck"
 
 WORK_DIR="${1:-$(mktemp -d)}"
 mkdir -p "$WORK_DIR"
 rm -rf "$WORK_DIR/single" "$WORK_DIR/pair" "$WORK_DIR/storm" \
   "$WORK_DIR/partition" "$WORK_DIR/single_wide" "$WORK_DIR/star" \
-  "$WORK_DIR/star_storm"
+  "$WORK_DIR/star_storm" "$WORK_DIR/single_8" "$WORK_DIR/star4" \
+  "$WORK_DIR/kill" "$WORK_DIR/stale" "$WORK_DIR/fo_storm"
 
-cleanup() {
-  # The federated halves are separate coordinator processes with their own
-  # forked workers; -x matches the exact binary name only. pkill alone
-  # only QUEUES the signal — a half reaping its own workers can outlive
-  # the script and leave orphans holding listener ports, so poll until
-  # every process is actually gone (bounded; SIGKILL is not ignorable,
-  # lingering past it means something is stuck in the kernel).
-  pkill -9 -x net_drill 2> /dev/null || true
-  for _ in $(seq 1 50); do
-    pgrep -x net_drill > /dev/null 2>&1 || return 0
-    sleep 0.1
-  done
-  echo "WARN: orphaned net_drill processes survived cleanup" >&2
-  pgrep -ax net_drill >&2 || true
-}
+. scripts/drill_lib.sh
 trap cleanup EXIT
 
-# Compares the diff-friendly tail of two net_drill outputs; any divergence
-# is a drill failure (the federation changed what the fleet finds or how
-# much budget it delivers).
-compare_outputs() {
-  local label=$1 base=$2 got=$3
-  local key base_line got_line
-  for key in bug_ids stack_hashes total_execs all_completed; do
-    base_line=$(grep "^$key:" "$base")
-    got_line=$(grep "^$key:" "$got")
-    if [ "$base_line" != "$got_line" ]; then
-      echo "FAIL: $key diverged ($label)" >&2
-      echo "  single: $base_line" >&2
-      echo "  $label: $got_line" >&2
-      exit 1
-    fi
-    echo "  $key ok ($base_line)"
-  done
+# Runs one federated stage: outputs to <name>.txt, diagnostics to
+# <name>.diag, both echoed (to stderr when the stage fails).
+run_stage() {
+  local mode=$1 name=$2 status=0
+  "$DRILL" "$mode" "$WORK_DIR/$name" > "$WORK_DIR/$name.txt" \
+    2> "$WORK_DIR/$name.diag" || status=$?
+  if [ "$status" -ne 0 ]; then
+    cat "$WORK_DIR/$name.txt" "$WORK_DIR/$name.diag" >&2
+    echo "FAIL: net_drill $mode exited with status $status" >&2
+    exit 1
+  fi
+  cat "$WORK_DIR/$name.txt" "$WORK_DIR/$name.diag"
+}
+
+# Audits the federation WALs a stage left behind: every rank journal must
+# decode, epochs must be monotone, every delta record well-formed.
+audit_wreckage() {
+  local label=$1 dir=$2
+  statecheck_audit --corpus "$label" "$dir"
+  if ! grep -q "federation.wal: ok" "$dir.fsck"; then
+    echo "FAIL: $label left no federation WAL to audit" >&2
+    exit 1
+  fi
 }
 
 echo "== single fleet (no network) =="
@@ -83,22 +97,19 @@ echo "== single fleet (no network) =="
 
 echo
 echo "== federated pair, clean network =="
-"$DRILL" pair "$WORK_DIR/pair" > "$WORK_DIR/pair.txt" \
-  2> "$WORK_DIR/pair.diag"
-cat "$WORK_DIR/pair.txt" "$WORK_DIR/pair.diag"
-compare_outputs pair "$WORK_DIR/single.txt" "$WORK_DIR/pair.txt"
+run_stage pair pair
+compare_outputs pair "$WORK_DIR/single.txt" "$WORK_DIR/pair.txt" single
 # The clean pair must actually exchange corpus over the wire.
 grep -qE 'sent=[1-9]' "$WORK_DIR/pair.diag" || {
   echo "FAIL: clean pair shipped no records" >&2
   exit 1
 }
+audit_wreckage pair "$WORK_DIR/pair"
 
 echo
 echo "== federated pair under full network storm =="
-"$DRILL" pair-storm "$WORK_DIR/storm" > "$WORK_DIR/storm.txt" \
-  2> "$WORK_DIR/storm.diag"
-cat "$WORK_DIR/storm.txt" "$WORK_DIR/storm.diag"
-compare_outputs storm "$WORK_DIR/single.txt" "$WORK_DIR/storm.txt"
+run_stage pair-storm storm
+compare_outputs storm "$WORK_DIR/single.txt" "$WORK_DIR/storm.txt" single
 # Every injected failure class must have fired somewhere in the storm.
 for pat in 'drops=[1-9]' 'short_writes=[1-9]' 'resets=[1-9]' \
   'partitions=[1-9]' 'reconnects=[1-9]'; do
@@ -108,13 +119,13 @@ for pat in 'drops=[1-9]' 'short_writes=[1-9]' 'resets=[1-9]' \
     exit 1
   }
 done
+audit_wreckage storm "$WORK_DIR/storm"
 
 echo
 echo "== federated pair with mid-campaign partition-and-heal =="
-"$DRILL" pair-partition "$WORK_DIR/partition" > "$WORK_DIR/partition.txt" \
-  2> "$WORK_DIR/partition.diag"
-cat "$WORK_DIR/partition.txt" "$WORK_DIR/partition.diag"
-compare_outputs partition "$WORK_DIR/single.txt" "$WORK_DIR/partition.txt"
+run_stage pair-partition partition
+compare_outputs partition "$WORK_DIR/single.txt" "$WORK_DIR/partition.txt" \
+  single
 # The cut side must report the partition; the other side must have
 # detected the silence (timeouts) and healed the session (reconnects).
 grep -qE 'partition_ms=[1-9]' "$WORK_DIR/partition.diag" || {
@@ -125,6 +136,7 @@ grep -qE 'reconnects=[1-9]' "$WORK_DIR/partition.diag" || {
   echo "FAIL: the partition never healed (no reconnects)" >&2
   exit 1
 }
+audit_wreckage partition "$WORK_DIR/partition"
 
 echo
 echo "== single wide fleet (6 workers, no network) =="
@@ -132,10 +144,8 @@ echo "== single wide fleet (6 workers, no network) =="
 
 echo
 echo "== 3-node star federation, virgin-map oracle, clean network =="
-"$DRILL" star "$WORK_DIR/star" > "$WORK_DIR/star.txt" \
-  2> "$WORK_DIR/star.diag"
-cat "$WORK_DIR/star.txt" "$WORK_DIR/star.diag"
-compare_outputs star "$WORK_DIR/single_wide.txt" "$WORK_DIR/star.txt"
+run_stage star star
+compare_outputs star "$WORK_DIR/single_wide.txt" "$WORK_DIR/star.txt" single
 # The star must exchange corpus and the novelty oracle must both engage
 # and actually suppress coverage duplicates.
 grep -qE 'sent=[1-9]' "$WORK_DIR/star.diag" || {
@@ -150,18 +160,95 @@ grep -qE 'rejected=[1-9]' "$WORK_DIR/star.diag" || {
   echo "FAIL: star oracle rejected nothing (gate is a no-op)" >&2
   exit 1
 }
+audit_wreckage star "$WORK_DIR/star"
 
 echo
 echo "== 3-node star federation under network storm =="
-"$DRILL" star-storm "$WORK_DIR/star_storm" > "$WORK_DIR/star_storm.txt" \
-  2> "$WORK_DIR/star_storm.diag"
-cat "$WORK_DIR/star_storm.txt" "$WORK_DIR/star_storm.diag"
+run_stage star-storm star_storm
 compare_outputs star-storm "$WORK_DIR/single_wide.txt" \
-  "$WORK_DIR/star_storm.txt"
+  "$WORK_DIR/star_storm.txt" single
 grep -qE 'reconnects=[1-9]' "$WORK_DIR/star_storm.diag" || {
   echo "FAIL: star storm forced no reconnects" >&2
   exit 1
 }
+audit_wreckage star-storm "$WORK_DIR/star_storm"
+
+echo
+echo "== single fleet (8 workers, no network) =="
+"$DRILL" single-8 "$WORK_DIR/single_8" | tee "$WORK_DIR/single_8.txt"
+
+echo
+echo "== 4-rank failover federation, clean network =="
+run_stage star4 star4
+compare_outputs star4 "$WORK_DIR/single_8.txt" "$WORK_DIR/star4.txt" single
+# The clean federation must ship corpus and delta-sync the oracle models;
+# nothing may have been elected.
+grep -qE 'deltas_applied=[1-9]' "$WORK_DIR/star4.diag" || {
+  echo "FAIL: clean star4 applied no oracle deltas" >&2
+  exit 1
+}
+grep -qE 'elections=[1-9]' "$WORK_DIR/star4.diag" && {
+  echo "FAIL: clean star4 held an election" >&2
+  exit 1
+}
+audit_wreckage star4 "$WORK_DIR/star4"
+
+echo
+echo "== leader SIGKILL: election, re-home, victim rejoins =="
+run_stage failover-kill kill
+compare_outputs failover-kill "$WORK_DIR/single_8.txt" "$WORK_DIR/kill.txt" \
+  single
+# The survivors must have elected into a new epoch, the promoted hub must
+# have rebuilt oracle state from deltas, and the victim must have rejoined.
+grep -qE 'elections=[1-9]' "$WORK_DIR/kill.diag" || {
+  echo "FAIL: leader kill triggered no election" >&2
+  exit 1
+}
+grep -qE 'epoch=2' "$WORK_DIR/kill.diag" || {
+  echo "FAIL: the epoch never advanced past the kill" >&2
+  exit 1
+}
+grep -qE 'rejoins=[1-9]' "$WORK_DIR/kill.diag" || {
+  echo "FAIL: the resurrected leader never rejoined" >&2
+  exit 1
+}
+grep -qE 'deltas_applied=[1-9]' "$WORK_DIR/kill.diag" || {
+  echo "FAIL: the promoted hub applied no oracle deltas" >&2
+  exit 1
+}
+audit_wreckage failover-kill "$WORK_DIR/kill"
+
+echo
+echo "== leader SIGKILL with stale resurrection: must fence =="
+run_stage failover-stale stale
+compare_outputs failover-stale "$WORK_DIR/single_8.txt" \
+  "$WORK_DIR/stale.txt" single
+# The stale victim must latch fenced, and the new leader must have seen
+# and dropped its stale hello.
+grep -qE 'fenced=[1-9]' "$WORK_DIR/stale.diag" || {
+  echo "FAIL: the stale node never fenced" >&2
+  exit 1
+}
+grep -qE 'stale_hellos=[1-9]' "$WORK_DIR/stale.diag" || {
+  echo "FAIL: no stale hello was ever dropped" >&2
+  exit 1
+}
+audit_wreckage failover-stale "$WORK_DIR/stale"
+
+echo
+echo "== leader SIGKILL under network storm =="
+run_stage failover-storm fo_storm
+compare_outputs failover-storm "$WORK_DIR/single_8.txt" \
+  "$WORK_DIR/fo_storm.txt" single
+grep -qE 'elections=[1-9]' "$WORK_DIR/fo_storm.diag" || {
+  echo "FAIL: storm stage held no election" >&2
+  exit 1
+}
+grep -qE 'reconnects=[1-9]' "$WORK_DIR/fo_storm.diag" || {
+  echo "FAIL: the storm forced no reconnects" >&2
+  exit 1
+}
+audit_wreckage failover-storm "$WORK_DIR/fo_storm"
 
 echo
 echo "net chaos drill PASSED"

@@ -1,39 +1,66 @@
-// net_drill: driver for the federated network-chaos drill
-// (scripts/net_chaos_drill.sh). Modes over one fixed campaign shape —
-// 4 worker processes, planted-bug target, deterministic timing — arranged
-// either as one local fleet or as two federated coordinator processes
-// (2 workers each) joined by a loopback PeerLink:
+// net_drill: the federation chaos drill CLI
+// (scripts/net_chaos_drill.sh). Every mode runs one fixed campaign shape —
+// planted-bug target, 10k execs per worker, deterministic timing — either
+// as one local fleet or as a federation of forked coordinator processes
+// (2 workers each), every node a FailoverMesh over loopback PeerLinks.
+//
+// Pair modes over a 4-worker budget, content-hash filtering, no elections:
 //
 //   net_drill single <dir>          one 4-worker fleet, no network — the
 //                                   reference find-union and exec total
-//   net_drill pair <dir>            federated pair, clean network
-//   net_drill pair-storm <dir>      federated pair under the full network
-//                                   storm: seeded frame drops, delays,
-//                                   torn-frame short writes, connection
-//                                   resets, and a partition — the
-//                                   federation union must still match the
-//                                   single fleet exactly
-//   net_drill pair-partition <dir>  federated pair with a long
-//                                   mid-campaign partition-and-heal: both
-//                                   sides keep fuzzing on local sync
-//                                   during the cut, reconcile on heal
+//   net_drill pair <dir>            2-node federation, clean network
+//   net_drill pair-storm <dir>      the pair under the full network storm:
+//                                   seeded frame drops, delays, torn-frame
+//                                   short writes, connection resets, and a
+//                                   partition — the federation union must
+//                                   still match the single fleet exactly
+//   net_drill pair-partition <dir>  the pair with a long mid-campaign
+//                                   partition-and-heal: both sides keep
+//                                   fuzzing on local sync during the cut,
+//                                   reconcile on heal
 //
-// Star (3-node hub) modes over a 6-worker budget, with the virgin-map
-// novelty oracle gating every gateway link:
+// Star modes over a 6-worker budget, the virgin-map novelty oracle gating
+// every link, no elections:
 //
-//   net_drill single-wide <dir>     one 6-worker fleet, no network — the
-//                                   reference for the star modes
-//   net_drill star <dir>            hub (2 workers) + 2 spokes (2 workers
-//                                   each), clean network; the merged
-//                                   find-union must match single-wide
+//   net_drill single-wide <dir>     one 6-worker fleet — the star reference
+//   net_drill star <dir>            hub + 2 spokes, clean network; the
+//                                   merged find-union must match
+//                                   single-wide
 //   net_drill star-storm <dir>      the same star under the network storm
-//                                   on the hub's links
+//                                   on the hub's links and one spoke's
+//
+// Failover modes over an 8-worker budget (stretched campaigns), 4 ranks,
+// the oracle on every link, delta sync and elections on:
+//
+//   net_drill single-8 <dir>        one 8-worker fleet — the failover
+//                                   reference
+//   net_drill star4 <dir>           clean network, no failures: epoch
+//                                   stays 1, delta sync carries the
+//                                   oracle state
+//   net_drill failover-kill <dir>   rank 0 (the initial leader) SIGKILLs
+//                                   its whole process group — coordinator
+//                                   and workers — right after it applies
+//                                   its first oracle delta; the survivors
+//                                   elect rank 1 into epoch 2 and re-home;
+//                                   the victim is relaunched (resume +
+//                                   probe) and REJOINS the new epoch as a
+//                                   spoke, finishing its budget
+//   net_drill failover-stale <dir>  same kill, but the victim comes back
+//                                   stale-fatal: it must observe the newer
+//                                   epoch and latch fenced (never
+//                                   re-entering the federation), while its
+//                                   local fleet still completes its budget
+//   net_drill failover-storm <dir>  the kill plus a seeded network storm
+//                                   (drops, delays, torn frames, resets)
+//                                   on the survivors while they elect
 //
 // Every mode prints sorted found_bug_ids / found_stack_hashes,
 // total_execs, and all_completed in the same diff-friendly format as
-// fleet_drill; link diagnostics go to stderr. The chaos modes self-check
-// that the storm actually engaged (injected faults, reconnects) and exit
-// non-zero if the network never hurt.
+// fleet_drill; per-rank link, oracle and failover diagnostics go to
+// stderr. Federated modes self-check that their fault actually engaged
+// (injected faults, reconnects, partitions, elections, the epoch
+// advancing, deltas rebuilding the models, the stale node fencing) and
+// exit 3 when the drill proved nothing.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -48,6 +75,8 @@ using namespace bigmap::netfleet;
 
 namespace {
 
+using ull = unsigned long long;
+
 GeneratedTarget make_target() {
   GeneratorParams gp;
   gp.seed = 33;
@@ -58,10 +87,10 @@ GeneratedTarget make_target() {
   return generate_target(gp);
 }
 
-// The per-coordinator fleet shape. The single baseline runs it with 4
-// workers and base seed 501; the federated halves run 2 workers each with
-// base seeds 501 (A) and 503 (B), so the union of campaign seeds across
-// the federation is exactly the baseline's set {501..504}.
+// The per-coordinator fleet shape. A single baseline runs it with all the
+// federation's workers from base seed 501; rank r of a federation runs 2
+// workers from seed 501 + 2r, so the union of campaign seeds across the
+// federation is exactly the baseline's set at the same total exec budget.
 ProcFleetConfig make_config(const std::string& dir, u32 workers, u64 seed) {
   ProcFleetConfig fc;
   fc.num_workers = workers;
@@ -96,19 +125,45 @@ FaultPlan make_net_storm_plan() {
   // Torn frames (write half, then die) early and mid-stream.
   plan.triggers.push_back({FaultSite::kNetShortWrite, 2, 1});
   plan.triggers.push_back({FaultSite::kNetShortWrite, 2, 4});
-  // Abrupt RSTs: checked once per connected pump.
-  plan.triggers.push_back({FaultSite::kNetConnReset, 2, 40});
-  plan.triggers.push_back({FaultSite::kNetConnReset, 2, 200});
-  // One short partition in the middle of the storm.
-  plan.triggers.push_back({FaultSite::kNetPartition, 2, 120});
+  // Abrupt RSTs and one short partition, counted in records put on the
+  // wire: a pair side ships ~55, so each lands mid-exchange on a live
+  // link and the cut heals long before the campaign ends.
+  plan.triggers.push_back({FaultSite::kNetConnReset, 2, 15});
+  plan.triggers.push_back({FaultSite::kNetConnReset, 2, 35});
+  plan.triggers.push_back({FaultSite::kNetPartition, 2, 45});
   return plan;
 }
 
 // The partition drill: a single long cut, no other interference, landing
-// mid-campaign so both sides demonstrably keep fuzzing through it.
+// right after the opening exchange so both sides demonstrably keep fuzzing
+// through it and reconcile well before the end.
 FaultPlan make_partition_plan() {
   FaultPlan plan;
-  plan.triggers.push_back({FaultSite::kNetPartition, 2, 60});
+  plan.triggers.push_back({FaultSite::kNetPartition, 2, 10});
+  return plan;
+}
+
+// The election storm: sustained frame loss and delay plus torn frames and
+// abrupt resets — but NO partition. A partition outlasting
+// election_timeout_ms is documented to cause a spurious election (the
+// spoke cannot distinguish a cut from a dead leader); the storm stage
+// proves elections survive a hostile wire, not that contract.
+FaultPlan make_election_storm_plan() {
+  FaultPlan plan;
+  plan.rates.push_back({FaultSite::kNetDrop, 100000, FaultRate::kAllInstances});
+  plan.rates.push_back(
+      {FaultSite::kNetDelay, 80000, FaultRate::kAllInstances});
+  plan.triggers.push_back({FaultSite::kNetShortWrite, 2, 3});
+  plan.triggers.push_back({FaultSite::kNetConnReset, 2, 10});
+  return plan;
+}
+
+// The leader kill: rank 0's node SIGKILLs its own process group once it
+// has applied its first oracle delta (kProcKill on gateway instance 2 —
+// never a worker id, the workers are 0 and 1).
+FaultPlan make_leader_kill_plan() {
+  FaultPlan plan;
+  plan.triggers.push_back({FaultSite::kProcKill, 2, 0});
   return plan;
 }
 
@@ -122,242 +177,259 @@ void print_union(const std::vector<u32>& bugs_in,
   std::printf("bug_ids:");
   for (u32 b : bugs) std::printf(" %u", b);
   std::printf("\nstack_hashes:");
-  for (u64 h : hashes) {
-    std::printf(" %llx", static_cast<unsigned long long>(h));
-  }
-  std::printf("\ntotal_execs: %llu\n", static_cast<unsigned long long>(execs));
+  for (u64 h : hashes) std::printf(" %llx", static_cast<ull>(h));
+  std::printf("\ntotal_execs: %llu\n", static_cast<ull>(execs));
   std::printf("all_completed: %d\n", completed ? 1 : 0);
   std::fflush(stdout);
 }
 
-void print_link_diag(const char* who, const LinkStats& n) {
+void print_node_diag(usize rank, const HalfReport& r) {
+  const LinkStats& n = r.net;
   std::fprintf(
       stderr,
-      "[%s] sent=%llu recv=%llu offered=%llu novelty_filtered=%llu "
+      "[rank-%zu] sent=%llu recv=%llu offered=%llu novelty_filtered=%llu "
       "dups=%llu ooo=%llu rewinds=%llu connects=%llu reconnects=%llu "
       "timeouts=%llu conn_errors=%llu drops=%llu delays=%llu "
       "short_writes=%llu resets=%llu partitions=%llu partition_ms=%llu "
       "lost_to_eviction=%llu bytes_tx=%llu bytes_rx=%llu\n",
-      who, static_cast<unsigned long long>(n.records_sent),
-      static_cast<unsigned long long>(n.records_received),
-      static_cast<unsigned long long>(n.entries_offered),
-      static_cast<unsigned long long>(n.novelty_filtered),
-      static_cast<unsigned long long>(n.duplicates_dropped),
-      static_cast<unsigned long long>(n.out_of_order_dropped),
-      static_cast<unsigned long long>(n.rewinds),
-      static_cast<unsigned long long>(n.connects),
-      static_cast<unsigned long long>(n.reconnects),
-      static_cast<unsigned long long>(n.heartbeat_timeouts),
-      static_cast<unsigned long long>(n.conn_errors),
-      static_cast<unsigned long long>(n.injected_drops),
-      static_cast<unsigned long long>(n.injected_delays),
-      static_cast<unsigned long long>(n.injected_short_writes),
-      static_cast<unsigned long long>(n.injected_resets),
-      static_cast<unsigned long long>(n.injected_partitions),
-      static_cast<unsigned long long>(n.partition_ms_total),
-      static_cast<unsigned long long>(n.lost_to_eviction),
-      static_cast<unsigned long long>(n.bytes_sent),
-      static_cast<unsigned long long>(n.bytes_received));
+      rank, static_cast<ull>(n.records_sent),
+      static_cast<ull>(n.records_received),
+      static_cast<ull>(n.entries_offered),
+      static_cast<ull>(n.novelty_filtered),
+      static_cast<ull>(n.duplicates_dropped),
+      static_cast<ull>(n.out_of_order_dropped), static_cast<ull>(n.rewinds),
+      static_cast<ull>(n.connects), static_cast<ull>(n.reconnects),
+      static_cast<ull>(n.heartbeat_timeouts),
+      static_cast<ull>(n.conn_errors), static_cast<ull>(n.injected_drops),
+      static_cast<ull>(n.injected_delays),
+      static_cast<ull>(n.injected_short_writes),
+      static_cast<ull>(n.injected_resets),
+      static_cast<ull>(n.injected_partitions),
+      static_cast<ull>(n.partition_ms_total),
+      static_cast<ull>(n.lost_to_eviction), static_cast<ull>(n.bytes_sent),
+      static_cast<ull>(n.bytes_received));
+  std::fprintf(stderr,
+               "[rank-%zu] oracle checked=%llu accepted=%llu rejected=%llu\n",
+               rank, static_cast<ull>(r.oracle.checked),
+               static_cast<ull>(r.oracle.accepted),
+               static_cast<ull>(r.oracle.rejected));
+  const FailoverStats& f = r.failover;
+  std::fprintf(
+      stderr,
+      "[rank-%zu] epoch=%llu role=%u leader=%u elections=%llu "
+      "promotions=%llu rehomes=%llu rejoins=%llu fenced=%llu "
+      "handoff=%llu dups=%llu deltas_shipped=%llu deltas_applied=%llu "
+      "net: d_sent=%llu d_recv=%llu resyncs=%llu resync_skipped=%llu "
+      "stale_hellos=%llu ahead_seen=%llu oracle: applied_cells=%llu\n",
+      rank, static_cast<ull>(f.epoch), f.role, f.leader_rank,
+      static_cast<ull>(f.elections), static_cast<ull>(f.promotions),
+      static_cast<ull>(f.rehomes), static_cast<ull>(f.rejoins),
+      static_cast<ull>(f.fenced), static_cast<ull>(f.handoff_reoffered),
+      static_cast<ull>(f.dup_suppressed), static_cast<ull>(f.deltas_shipped),
+      static_cast<ull>(f.deltas_applied), static_cast<ull>(n.deltas_sent),
+      static_cast<ull>(n.deltas_received), static_cast<ull>(n.resyncs_sent),
+      static_cast<ull>(n.resync_skipped),
+      static_cast<ull>(n.stale_hellos_dropped),
+      static_cast<ull>(n.epoch_ahead_seen),
+      static_cast<ull>(r.oracle.cells_applied));
 }
 
-int run_star(const GeneratedTarget& target, const std::vector<Input>& seeds,
-             const std::string& mode, const std::string& dir) {
-  // Hub seed 501 (workers 501-502), spokes 503 and 505 (503-506): the
-  // union of campaign seeds across the star is exactly the single-wide
-  // baseline's set {501..506}, at the same total exec budget.
+int fail(const char* msg) {
+  std::fprintf(stderr, "net_drill: %s\n", msg);
+  return 3;
+}
+
+// Builds the mode's federation, runs it, prints the union, and checks that
+// the mode's fault engaged.
+int run_federated(const GeneratedTarget& target,
+                  const std::vector<Input>& seeds, const std::string& mode,
+                  const std::string& dir) {
+  const bool pair = mode.rfind("pair", 0) == 0;
+  const bool star = mode.rfind("star-", 0) == 0 || mode == "star";
+  const bool failover = !pair && !star;
+  const usize ranks = pair ? 2 : star ? 3 : 4;
+
   std::vector<ProcFleetConfig> nodes;
-  nodes.push_back(make_config(dir + "/hub", 2, 501));
-  nodes.push_back(make_config(dir + "/s1", 2, 503));
-  nodes.push_back(make_config(dir + "/s2", 2, 505));
-  for (usize i = 0; i < nodes.size(); ++i) {
-    ProcFleetConfig& fc = nodes[i];
-    fc.net.node_id = i + 1;
-    fc.net.heartbeat_ms = 20;
-    fc.net.peer_timeout_ms = 400;
-    fc.net.reconnect_initial_ms = 5;
-    fc.net.reconnect_cap_ms = 100;
-    // Virgin-map novelty gate on every gateway link (hub and spokes): the
+  for (usize i = 0; i < ranks; ++i) {
+    nodes.push_back(
+        make_config(dir + "/r" + std::to_string(i), 2, 501 + 2 * i));
+    ProcFleetConfig& fc = nodes.back();
+    // Fast liveness so injected failures are detected and healed well
+    // within the drill's runtime.
+    fc.failover.link.heartbeat_ms = 20;
+    fc.failover.link.peer_timeout_ms = 400;
+    fc.failover.link.reconnect_initial_ms = 5;
+    fc.failover.link.reconnect_cap_ms = 100;
+    // Virgin-map novelty gate on every link outside the pair modes: the
     // drill doubles as proof the oracle never costs a find.
-    fc.net_virgin_oracle = true;
+    fc.net_virgin_oracle = !pair;
+    if (failover) {
+      // Stretch the campaign so the kill demonstrably lands mid-run.
+      fc.base.work_per_block = 300;
+      fc.failover.election_timeout_ms = 600;  // 30 heartbeats
+      fc.failover.delta_interval_ms = 30;
+    } else {
+      fc.failover.election_timeout_ms = 0;  // the founding hub leads for good
+    }
   }
 
-  if (mode == "star-storm") {
-    // The storm rides the hub's coordinator injector (gateway instance 2,
-    // shared occurrence counters across its links), plus one spoke with
-    // its own schedule so connector-side failures fire too.
+  FederationOpts opts;
+  if (mode == "pair-storm" || mode == "star-storm") {
+    // Decorrelated seeds: the sides fail at different times. In the star
+    // the storm rides the hub's injector (shared occurrence counters
+    // across its links) plus one spoke's, so connector-side failures
+    // fire too.
+    for (usize i = 0; i < 2; ++i) {
+      nodes[i].fault_enabled = true;
+      nodes[i].fault_seed = 909 + i;
+      nodes[i].fault_plan = make_net_storm_plan();
+      nodes[i].failover.link.partition_ms = 300;
+    }
+  } else if (mode == "pair-partition") {
+    // Only rank 0 cuts the link; rank 1 experiences the partition as a
+    // peer timeout and keeps retrying into the void until the heal.
     nodes[0].fault_enabled = true;
-    nodes[0].fault_seed = 909;
-    nodes[0].fault_plan = make_net_storm_plan();
-    nodes[0].net.partition_ms = 300;
-    nodes[1].fault_enabled = true;
-    nodes[1].fault_seed = 910;
-    nodes[1].fault_plan = make_net_storm_plan();
-    nodes[1].net.partition_ms = 300;
+    nodes[0].fault_seed = 911;
+    nodes[0].fault_plan = make_partition_plan();
+    nodes[0].failover.link.partition_ms = 1000;
+    // Stretch the campaign so both sides keep fuzzing through the cut.
+    for (ProcFleetConfig& fc : nodes) fc.base.work_per_block = 800;
+  } else if (failover && mode != "star4") {
+    nodes[0].fault_enabled = true;
+    nodes[0].fault_seed = 919;
+    nodes[0].fault_plan = make_leader_kill_plan();
+    opts.resurrect = mode == "failover-stale"
+                         ? FederationOpts::Resurrect::kStale
+                         : FederationOpts::Resurrect::kRejoin;
+    opts.resurrect_after_ms = 600;
+  }
+  if (mode == "failover-storm") {
+    // Seeded chaos on the survivors' gateways while they detect the death
+    // and elect; decorrelated seeds so the ranks fail at different times.
+    for (usize i = 1; i < ranks; ++i) {
+      nodes[i].fault_enabled = true;
+      nodes[i].fault_seed = 920 + i;
+      nodes[i].fault_plan = make_election_storm_plan();
+    }
   }
 
-  StarResult sr = run_federated_star(target.program, seeds, nodes);
-  if (!sr.ok) {
-    std::fprintf(stderr, "net_drill: %s\n", sr.error.c_str());
+  const FederationResult fr =
+      run_federation(target.program, seeds, nodes, opts);
+  if (!fr.ok) {
+    std::fprintf(stderr, "net_drill: %s\n", fr.error.c_str());
     return 1;
   }
-  u64 oracle_checked = 0, oracle_rejected = 0, records_sent = 0;
-  u64 injected = 0, reconnects = 0;
-  for (usize i = 0; i < sr.nodes.size(); ++i) {
-    const HalfReport& r = sr.nodes[i];
-    const std::string who =
-        i == 0 ? std::string("hub") : "spoke-" + std::to_string(i);
-    print_link_diag(who.c_str(), r.net);
-    std::fprintf(stderr,
-                 "[%s] oracle checked=%llu accepted=%llu rejected=%llu\n",
-                 who.c_str(),
-                 static_cast<unsigned long long>(r.oracle.checked),
-                 static_cast<unsigned long long>(r.oracle.accepted),
-                 static_cast<unsigned long long>(r.oracle.rejected));
-    oracle_checked += r.oracle.checked;
-    oracle_rejected += r.oracle.rejected;
-    records_sent += r.net.records_sent;
-    injected += r.net.injected_drops + r.net.injected_delays +
-                r.net.injected_short_writes + r.net.injected_resets +
-                r.net.injected_partitions;
-    reconnects += r.net.reconnects;
+  LinkStats net;
+  corpus::OracleStats oracle;
+  u64 elections = 0, promotions = 0, deltas_applied = 0, max_epoch = 0;
+  for (usize i = 0; i < fr.nodes.size(); ++i) {
+    const HalfReport& r = fr.nodes[i];
+    print_node_diag(i, r);
+    net = sum_link_stats(net, r.net);
+    oracle.checked += r.oracle.checked;
+    oracle.rejected += r.oracle.rejected;
+    elections += r.failover.elections;
+    promotions += r.failover.promotions;
+    deltas_applied += r.failover.deltas_applied;
+    max_epoch = std::max(max_epoch, r.failover.epoch);
   }
-  print_union(sr.found_bug_ids, sr.found_stack_hashes, sr.total_execs,
-              sr.all_completed);
+  print_union(fr.found_bug_ids, fr.found_stack_hashes, fr.total_execs,
+              fr.all_completed);
 
-  if (records_sent == 0) {
-    std::fprintf(stderr, "net_drill: no corpus exchange happened\n");
-    return 3;
-  }
-  if (oracle_checked == 0) {
-    std::fprintf(stderr, "net_drill: the novelty oracle never engaged\n");
-    return 3;
-  }
-  std::fprintf(stderr, "[star] oracle_reject_ratio=%.3f\n",
-               static_cast<double>(oracle_rejected) /
-                   static_cast<double>(oracle_checked));
-  if (mode == "star-storm") {
-    if (injected == 0) {
-      std::fprintf(stderr, "net_drill: storm injected no faults\n");
-      return 3;
-    }
-    if (reconnects == 0) {
-      std::fprintf(stderr, "net_drill: storm forced no reconnects\n");
-      return 3;
+  // Self-checks: the exchange must have happened, and every chaos mode
+  // must have actually hurt the federation (otherwise it proves nothing).
+  if (net.records_sent == 0) return fail("no corpus exchange happened");
+  const u64 injected = net.injected_drops + net.injected_delays +
+                       net.injected_short_writes + net.injected_resets +
+                       net.injected_partitions;
+  if (mode == "pair-storm" || mode == "star-storm" ||
+      mode == "failover-storm") {
+    if (injected == 0) return fail("storm injected no faults");
+    if (net.reconnects == 0 && !failover) {
+      return fail("storm forced no reconnects");
     }
   }
-  return sr.all_completed ? 0 : 1;
+  if (mode == "pair-partition" && net.injected_partitions == 0) {
+    return fail("no partition was injected");
+  }
+  if (star) {
+    if (oracle.checked == 0) return fail("the novelty oracle never engaged");
+    std::fprintf(stderr, "[star] oracle_reject_ratio=%.3f\n",
+                 static_cast<double>(oracle.rejected) /
+                     static_cast<double>(oracle.checked));
+  }
+  if (!failover) return fr.all_completed ? 0 : 1;
+
+  if (deltas_applied == 0) return fail("delta sync never engaged");
+  if (mode == "star4") {
+    if (elections != 0 || max_epoch != 1) {
+      std::fprintf(stderr, "net_drill: clean run elected (epoch=%llu)\n",
+                   static_cast<ull>(max_epoch));
+      return 3;
+    }
+    return fr.all_completed ? 0 : 1;
+  }
+  if (elections == 0 || promotions == 0 || max_epoch < 2) {
+    std::fprintf(stderr,
+                 "net_drill: the kill forced no election "
+                 "(elections=%llu promotions=%llu epoch=%llu)\n",
+                 static_cast<ull>(elections), static_cast<ull>(promotions),
+                 static_cast<ull>(max_epoch));
+    return 3;
+  }
+  const FailoverStats& victim = fr.nodes[0].failover;
+  if (mode == "failover-stale") {
+    // The resurrected stale leader must have latched fenced (role 3),
+    // never rejoining — and still completed its local budget.
+    if (victim.fenced != 1 || victim.role != 3) {
+      std::fprintf(stderr,
+                   "net_drill: stale leader not fenced "
+                   "(fenced=%llu role=%u)\n",
+                   static_cast<ull>(victim.fenced), victim.role);
+      return 3;
+    }
+  } else if (victim.rejoins == 0 || victim.epoch < 2 || victim.fenced != 0) {
+    // Rejoin modes: the victim must have re-entered the NEW epoch.
+    std::fprintf(stderr,
+                 "net_drill: victim never rejoined "
+                 "(rejoins=%llu epoch=%llu)\n",
+                 static_cast<ull>(victim.rejoins),
+                 static_cast<ull>(victim.epoch));
+    return 3;
+  }
+  return fr.all_completed ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  static const char* const kModes[] = {
+      "single",      "pair",      "pair-storm",    "pair-partition",
+      "single-wide", "star",      "star-storm",    "single-8",
+      "star4",       "failover-kill", "failover-stale", "failover-storm"};
   const std::string mode = argc > 1 ? argv[1] : "";
   const std::string dir = argc > 2 ? argv[2] : "";
-  const bool known = mode == "single" || mode == "pair" ||
-                     mode == "pair-storm" || mode == "pair-partition" ||
-                     mode == "single-wide" || mode == "star" ||
-                     mode == "star-storm";
+  const bool known = std::find(std::begin(kModes), std::end(kModes), mode) !=
+                     std::end(kModes);
   if (!known || dir.empty()) {
-    std::fprintf(stderr,
-                 "usage: net_drill single <dir>\n"
-                 "       net_drill pair <dir>\n"
-                 "       net_drill pair-storm <dir>\n"
-                 "       net_drill pair-partition <dir>\n"
-                 "       net_drill single-wide <dir>\n"
-                 "       net_drill star <dir>\n"
-                 "       net_drill star-storm <dir>\n");
+    for (const char* m : kModes) {
+      std::fprintf(stderr, "%s net_drill %s <dir>\n",
+                   m == kModes[0] ? "usage:" : "      ", m);
+    }
     return 2;
   }
 
   auto target = make_target();
   auto seeds = make_seed_corpus(target, 4, 1);
 
-  if (mode == "single" || mode == "single-wide") {
-    ProcFleetConfig fc =
-        make_config(dir, mode == "single" ? 4 : 6, 501);
+  if (mode.rfind("single", 0) == 0) {
+    const u32 workers = mode == "single" ? 4 : mode == "single-wide" ? 6 : 8;
+    ProcFleetConfig fc = make_config(dir, workers, 501);
+    if (workers == 8) fc.base.work_per_block = 300;
     ProcFleetResult r = run_process_fleet(target.program, seeds, fc);
     print_union(r.found_bug_ids, r.found_stack_hashes, r.total_execs,
                 r.all_completed());
     return r.all_completed() ? 0 : 1;
   }
-
-  if (mode == "star" || mode == "star-storm") {
-    return run_star(target, seeds, mode, dir);
-  }
-
-  ProcFleetConfig a = make_config(dir + "/a", 2, 501);
-  ProcFleetConfig b = make_config(dir + "/b", 2, 503);
-  a.net.node_id = 1;
-  b.net.node_id = 2;
-  // Fast liveness so injected failures are detected and healed well within
-  // the drill's runtime.
-  for (ProcFleetConfig* fc : {&a, &b}) {
-    fc->net.heartbeat_ms = 20;
-    fc->net.peer_timeout_ms = 400;
-    fc->net.reconnect_initial_ms = 5;
-    fc->net.reconnect_cap_ms = 100;
-  }
-
-  if (mode == "pair-storm") {
-    const FaultPlan plan = make_net_storm_plan();
-    a.fault_enabled = true;
-    a.fault_seed = 909;
-    a.fault_plan = plan;
-    b.fault_enabled = true;
-    b.fault_seed = 910;  // decorrelated: the sides fail at different times
-    b.fault_plan = plan;
-    a.net.partition_ms = 300;
-    b.net.partition_ms = 300;
-  } else if (mode == "pair-partition") {
-    const FaultPlan plan = make_partition_plan();
-    a.fault_enabled = true;
-    a.fault_seed = 911;
-    a.fault_plan = plan;
-    // Only A cuts the link; B experiences the partition as a peer timeout
-    // and keeps retrying into the void until the heal.
-    a.net.partition_ms = 1000;
-    // Stretch the campaign so the cut demonstrably lands mid-run with
-    // fuzzing continuing on both sides throughout.
-    a.base.work_per_block = 400;
-    b.base.work_per_block = 400;
-  }
-
-  FederatedResult fr = run_federated_pair(target.program, seeds, a, b);
-  if (!fr.ok) {
-    std::fprintf(stderr, "net_drill: %s\n", fr.error.c_str());
-    return 1;
-  }
-  print_link_diag("half-a", fr.a.net);
-  print_link_diag("half-b", fr.b.net);
-  print_union(fr.found_bug_ids, fr.found_stack_hashes, fr.total_execs,
-              fr.all_completed);
-
-  // Self-checks: the exchange must have happened, and chaos modes must
-  // have actually hurt the network (otherwise the drill proves nothing).
-  if (fr.a.net.records_sent == 0 && fr.b.net.records_sent == 0) {
-    std::fprintf(stderr, "net_drill: no corpus exchange happened\n");
-    return 3;
-  }
-  if (mode == "pair-storm") {
-    const u64 injected =
-        fr.a.net.injected_drops + fr.a.net.injected_delays +
-        fr.a.net.injected_short_writes + fr.a.net.injected_resets +
-        fr.a.net.injected_partitions + fr.b.net.injected_drops +
-        fr.b.net.injected_delays + fr.b.net.injected_short_writes +
-        fr.b.net.injected_resets + fr.b.net.injected_partitions;
-    if (injected == 0) {
-      std::fprintf(stderr, "net_drill: storm injected no faults\n");
-      return 3;
-    }
-    if (fr.a.net.reconnects + fr.b.net.reconnects == 0) {
-      std::fprintf(stderr, "net_drill: storm forced no reconnects\n");
-      return 3;
-    }
-  }
-  if (mode == "pair-partition" &&
-      fr.a.net.injected_partitions + fr.b.net.injected_partitions == 0) {
-    std::fprintf(stderr, "net_drill: no partition was injected\n");
-    return 3;
-  }
-  return fr.all_completed ? 0 : 1;
+  return run_federated(target, seeds, mode, dir);
 }

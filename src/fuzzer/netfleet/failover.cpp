@@ -1,5 +1,7 @@
 #include "fuzzer/netfleet/failover.h"
 
+#include <signal.h>
+
 #include <algorithm>
 #include <utility>
 
@@ -158,7 +160,6 @@ void FailoverMesh::journal_delta(const Input& blob) {
 
 NetPeerConfig FailoverMesh::link_config(bool listener, u32 remote_rank) const {
   NetPeerConfig c = cfg_.link;
-  c.enabled = true;
   c.epoch = epoch_;
   c.rank = cfg_.rank;
   if (listener) {
@@ -372,9 +373,9 @@ void FailoverMesh::pump_leader(u64 now_ns) {
   for (Peer& p : peers_) p.link->pump(now_ns);
   for (usize i = 0; i < peers_.size(); ++i) {
     for (Input& in : peers_[i].link->take_received()) {
-      // The spoke's delta stream keeps its model fresh; unlike MeshHub,
-      // the hub does NOT execute received entries against the source
-      // model — that is the executor load delta sync removes.
+      // The spoke's delta stream keeps its model fresh; the hub does NOT
+      // execute received entries against the source model — that is the
+      // executor load delta sync removes.
       for (usize j = 0; j < peers_.size(); ++j) {
         if (j != i) export_gated(peers_[j], in);
       }
@@ -387,6 +388,10 @@ void FailoverMesh::pump_leader(u64 now_ns) {
         fstats_.deltas_applied++;
         bump(c_deltas_applied_);
         journal_delta(blob);
+        if (fault_ != nullptr &&
+            fault_->fire(FaultSite::kProcKill, gateway_)) {
+          ::kill(0, SIGKILL);  // the whole host: coordinator and workers
+        }
       }
     }
   }
@@ -424,9 +429,10 @@ void FailoverMesh::pump_follower(u64 now_ns) {
       (void)my_oracle_->apply_delta(d);
     }
   }
-  const bool gave_up = p.link->stats().gave_up;
-  if (gave_up || now_ns - last_leader_seen_ns_ >
-                     static_cast<u64>(cfg_.election_timeout_ms) * kMsNs) {
+  if (cfg_.election_timeout_ms == 0) return;
+  if (p.link->stats().gave_up ||
+      now_ns - last_leader_seen_ns_ >
+          static_cast<u64>(cfg_.election_timeout_ms) * kMsNs) {
     elect(now_ns);
   }
 }

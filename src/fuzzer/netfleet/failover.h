@@ -1,13 +1,31 @@
-// FailoverMesh: the self-healing federation node — a SyncEndpoint gateway
-// that survives the one fault MeshHub cannot: the death of the hub itself.
+// FailoverMesh: the federation node — a SyncEndpoint gateway that joins a
+// local hub to the other coordinators of a static federation over
+// PeerLinks, and survives the death of whichever node currently leads.
 //
-// Every node in the federation runs one FailoverMesh over a static rank
-// table [0, num_nodes). Exactly one rank leads an **epoch**; the others
-// follow (spoke role). The wiring is pre-bound by the harness: for every
-// ordered pair (leader h, spoke s) there is a listening socket L[h][s] the
-// parent bound before forking, so any rank can assume leadership without
-// coordination — its listeners already exist, and re-homing spokes simply
-// dial the successor's well-known port.
+// Campaigns see only the SyncEndpoint interface (sync.h), so federation is
+// a wrapper, not a fuzzing-loop change: every endpoint call passes through
+// to the wrapped inner hub (ShmHub for process fleets, SyncHub in tests),
+// and one extra inner instance — the *gateway instance* — stands for the
+// rest of the federation:
+//
+//   local find  -> inner.publish(worker) -> pump: inner.fetch_new(gateway)
+//               -> link.offer()          -> wire -> remote gateway
+//   remote find -> link.take_received()  -> inner.publish(gateway)
+//               -> workers import it via their ordinary fetch_new
+//
+// fetch_new never returns an instance's own publishes, so imports are
+// never re-exported through the normal path — no echo loop by
+// construction.
+//
+// Topology.  Ranks are [0, num_nodes). Exactly one rank leads an
+// **epoch** and holds one link per other rank (the hub of a star); the
+// others follow with one link to the leader (spokes). The leader relays
+// each spoke's finds to every other spoke, so a star behaves like a full
+// mesh one hop later. A pair is the 2-node case. The wiring is pre-bound
+// by the harness: for every ordered pair (leader h, spoke s) there is a
+// listening socket L[h][s] the parent bound before forking, so any rank
+// can assume leadership without coordination — its listeners already
+// exist, and re-homing spokes simply dial the successor's well-known port.
 //
 //   Election.  Spokes detect hub death locally: the leader link silent
 //   (never connected/hello'd) past election_timeout_ms, or its reconnect
@@ -18,6 +36,8 @@
 //   dead, the new epoch's leader link stays silent and the next election
 //   fires, walking the ring until a live rank leads. The lowest-rank LIVE
 //   node therefore ends up leading, one election-timeout per dead rank.
+//   election_timeout_ms = 0 disables elections: the founding leader leads
+//   for good, and a cut of any length is ridden out by the links.
 //
 //   Epoch fencing.  Every hello carries the sender's epoch (wire.h v2).
 //   PeerLink refuses cross-epoch sessions both ways; a hello from a NEWER
@@ -33,21 +53,32 @@
 //   nothing is double-accepted either — together: exactly-once across the
 //   epoch boundary.
 //
+//   Novelty oracle.  With an oracle factory, every link carries a
+//   corpus::NoveltyOracle as its remote model: an entry is shipped only
+//   when it would flip virgin bits in the receiver's coverage — a deeper
+//   gate than the link's content-hash filter, and the reason a saturated
+//   federation's wire goes quiet. Without a factory the links filter by
+//   content hash only.
+//
 //   Oracle delta sync.  Followers ship compact virgin-map deltas of their
 //   own federation model (corpus::OracleDelta over the kDelta frame) on a
 //   steady cadence, and a full-state snapshot on every (re)home. The
-//   leader rebuilds its per-peer NoveltyOracle models by APPLYING those
-//   records — zero candidate re-executions — instead of the MeshHub
-//   scheme of admit()-folding every received entry, which also cuts the
-//   steady-state hub executor load. Leader-side models gate relays the
-//   same way MeshHub's do.
+//   leader keeps its per-peer models current by APPLYING those records —
+//   zero candidate re-executions — and gates relays with them.
 //
 //   Journal.  Epoch transitions and delta records are appended to a
 //   federation WAL (persist/federation.h) for resume (a restarted node
 //   recovers its last epoch) and for statecheck's post-drill audit.
 //
-// Thread-safety: like MeshHub — endpoint calls pass through to the inner
-// hub; offer/take/pump/shutdown serialize behind one mutex.
+//   Chaos.  `fault` drives the links' kNet* sites on the gateway instance.
+//   The leader also counts one kProcKill occurrence per applied delta
+//   record on that instance; when it fires, the node SIGKILLs its own
+//   process group (coordinator and workers: a host dying), so a drill
+//   kills the leader at a point of federation progress, not of the clock.
+//
+// Thread-safety: endpoint calls pass through to the (thread-safe) inner
+// hub; the links and oracles are single-threaded, so offer/take/pump/
+// shutdown serialize behind one mutex.
 #pragma once
 
 #include <functional>
@@ -59,14 +90,12 @@
 
 #include "corpus/novelty.h"
 #include "fuzzer/netfleet/link.h"
-#include "fuzzer/netfleet/mesh.h"
 #include "fuzzer/sync.h"
 
 namespace bigmap::netfleet {
 
+// A process fleet federates when num_nodes >= 2.
 struct FailoverNodeConfig {
-  bool enabled = false;
-
   // Static identity. Ranks are [0, num_nodes); initial_leader leads
   // initial_epoch. Epoch 0 is reserved (epoch-agnostic links), so
   // initial_epoch must be >= 1.
@@ -87,8 +116,9 @@ struct FailoverNodeConfig {
   NetPeerConfig link;
 
   // Leader-link silence (never established) before a spoke declares the
-  // leader dead and elects. Must comfortably exceed the link's own
-  // peer_timeout + reconnect backoff so transient faults heal in-session.
+  // leader dead and elects; 0 never elects. Must comfortably exceed the
+  // link's own peer_timeout + reconnect backoff so transient faults heal
+  // in-session.
   u32 election_timeout_ms = 600;
 
   // Steady-state oracle delta cadence on follower links (0 = only the
@@ -130,10 +160,12 @@ class FailoverMesh final : public SyncEndpoint {
   using OracleFactory =
       std::function<std::unique_ptr<corpus::NoveltyOracle>()>;
 
-  // `inner` as in MeshHub (one extra instance, the gateway). `factory`
-  // builds one fresh remote model per peer link (may be null / return
-  // null: content-hash filtering only, no delta sync). `fault` drives the
-  // kNet* chaos sites; `reg` receives failover.* counters.
+  // `inner` must outlive the node and must have been created with one
+  // more instance than the fleet's workers; that extra (highest) id is
+  // `gateway_instance`. `factory` builds one fresh remote model per peer
+  // link (may be null / return null: content-hash filtering only, no
+  // delta sync). `fault` drives the chaos sites above; `reg` receives
+  // failover.* and netfleet.* counters.
   FailoverMesh(SyncEndpoint* inner, u32 gateway_instance,
                FailoverNodeConfig cfg, OracleFactory factory,
                FaultInjector* fault, telemetry::MetricRegistry* reg);

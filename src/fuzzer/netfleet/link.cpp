@@ -16,6 +16,47 @@ constexpr usize kRecvChunk = 16u * 1024;
 
 }  // namespace
 
+LinkStats sum_link_stats(const LinkStats& a, const LinkStats& b) {
+  LinkStats s = a;
+  s.bytes_sent += b.bytes_sent;
+  s.bytes_received += b.bytes_received;
+  s.records_sent += b.records_sent;
+  s.records_received += b.records_received;
+  s.deltas_sent += b.deltas_sent;
+  s.deltas_received += b.deltas_received;
+  s.entries_offered += b.entries_offered;
+  s.novelty_filtered += b.novelty_filtered;
+  s.duplicates_dropped += b.duplicates_dropped;
+  s.out_of_order_dropped += b.out_of_order_dropped;
+  s.rewinds += b.rewinds;
+  s.connects += b.connects;
+  s.reconnects += b.reconnects;
+  s.heartbeat_timeouts += b.heartbeat_timeouts;
+  s.conn_errors += b.conn_errors;
+  s.hello_rejected += b.hello_rejected;
+  s.injected_drops += b.injected_drops;
+  s.injected_delays += b.injected_delays;
+  s.injected_short_writes += b.injected_short_writes;
+  s.injected_resets += b.injected_resets;
+  s.injected_partitions += b.injected_partitions;
+  s.partition_ms_total += b.partition_ms_total;
+  s.log_evicted += b.log_evicted;
+  s.lost_to_eviction += b.lost_to_eviction;
+  s.resyncs_sent += b.resyncs_sent;
+  s.resync_skipped += b.resync_skipped;
+  s.stale_hellos_dropped += b.stale_hellos_dropped;
+  s.epoch_ahead_seen += b.epoch_ahead_seen;
+  s.send_next += b.send_next;
+  s.peer_acked += b.peer_acked;
+  s.recv_cursor += b.recv_cursor;
+  s.peer_epoch = std::max(a.peer_epoch, b.peer_epoch);
+  s.peer_rank = std::max(a.peer_rank, b.peer_rank);
+  s.connected = a.connected || b.connected;
+  s.partitioned = a.partitioned || b.partitioned;
+  s.gave_up = a.gave_up || b.gave_up;
+  return s;
+}
+
 PeerLink::PeerLink(const NetPeerConfig& config, FaultInjector* fault,
                    u32 fault_instance, telemetry::MetricRegistry* reg)
     : cfg_(config), fault_(fault), fault_instance_(fault_instance) {
@@ -419,6 +460,14 @@ void PeerLink::queue_entries(u64 now_ns) {
       send_pos_ = seq;
       break;
     }
+    if (seq >= shipped_) {
+      // Whole-connection chaos is counted once per record put on the
+      // wire, so a trigger lands at a point of the exchange on a live
+      // link however fast the host pumps; it hits at the next pump.
+      shipped_ = seq + 1;
+      if (fire(FaultSite::kNetConnReset)) reset_pending_ = true;
+      if (fire(FaultSite::kNetPartition)) partition_pending_ = true;
+    }
     if (rec.kind == OutRecord::kDelta) {
       append_delta(outbox_, seq, rec.data);
       stats_.deltas_sent++;
@@ -520,16 +569,18 @@ void PeerLink::pump(u64 now_ns) {
     establish(fd_, now_ns);
   }
 
-  // Injected whole-connection failures, checked once per connected pump.
+  // Injected whole-connection failures, fired by queue_entries().
   if (fd_ >= 0) {
-    if (fire(FaultSite::kNetConnReset)) {
+    if (reset_pending_) {
+      reset_pending_ = false;
       stats_.injected_resets++;
       close_with_reset(fd_);
       fd_ = -1;
       drop_connection(now_ns, "injected reset", /*count_error=*/true);
       return;
     }
-    if (fire(FaultSite::kNetPartition)) {
+    if (partition_pending_) {
+      partition_pending_ = false;
       enter_partition(now_ns);
       return;
     }

@@ -3,7 +3,7 @@
 //
 // The link is the robustness core of the federation tier. It is a
 // single-threaded, non-blocking state machine (pumped from the
-// coordinator's event loop, or behind NetHub's mutex for thread fleets)
+// coordinator's event loop, behind FailoverMesh's mutex)
 // that keeps exactly one session with one peer and survives every partial
 // failure a socket can produce:
 //
@@ -42,7 +42,11 @@
 //  - partitions: the kNetPartition chaos site cuts the link for
 //    partition_ms. During the cut both sides keep fuzzing on local sync
 //    (offer() keeps logging), and the heal replays the backlog through the
-//    normal resume path — graceful degradation, then reconciliation;
+//    normal resume path — graceful degradation, then reconciliation. Like
+//    kNetConnReset it is counted once per record first put on the wire,
+//    so a trigger lands at a point of the exchange on a live link rather
+//    than after a number of pumps a fast campaign may never reach; the
+//    fired fault hits the connection at the next pump;
 //  - telemetry: netfleet.* counters (bytes, records, novelty-filtered
 //    drops, reconnects, timeouts, partition milliseconds) mirrored into a
 //    MetricRegistry so fuzzer_stats / registry_stats / BenchReports see
@@ -63,12 +67,10 @@
 namespace bigmap::netfleet {
 
 struct NetPeerConfig {
-  bool enabled = false;
-
   // Exactly one side listens; the other dials. The listener binds
   // host:port (port 0 picks an ephemeral port, readable via
   // PeerLink::listen_port()) unless a pre-bound listening socket is handed
-  // in via listen_fd (the federated-pair runner does this so the port is
+  // in via listen_fd (the federation harness does this so every port is
   // known before forking).
   bool listener = false;
   std::string host = "127.0.0.1";
@@ -82,7 +84,7 @@ struct NetPeerConfig {
   u64 node_id = 0;
 
   // Federation epoch + rank carried in our hello. epoch 0 means an
-  // epoch-agnostic link (the PR 7 pair topology): no fencing either way.
+  // epoch-agnostic link: no fencing either way.
   // In an epoch-aware federation the epoch is immutable per link — a new
   // epoch always means a new PeerLink (promotion or re-home).
   u64 epoch = 0;
@@ -155,6 +157,10 @@ struct LinkStats {
   bool partitioned = false;
   bool gave_up = false;      // reconnect retry budget exhausted
 };
+
+// Sums per-link accounting into one LinkStats (booleans OR-ed; the cursor
+// fields are summed too and only meaningful per-link).
+LinkStats sum_link_stats(const LinkStats& a, const LinkStats& b);
 
 // One replay-log record: a corpus entry or an opaque oracle-delta blob.
 // Both kinds share the sequence space, so cursor/ack/rewind semantics are
@@ -280,6 +286,9 @@ class PeerLink {
   u64 next_reconnect_ns_ = 0;
   u32 reconnect_attempts_ = 0;
   u64 partitioned_until_ns_ = 0;
+  u64 shipped_ = 0;  // records ever put on the wire (first transmissions)
+  bool reset_pending_ = false;      // kNetConnReset fired by a shipment
+  bool partition_pending_ = false;  // kNetPartition fired by a shipment
   bool gave_up_ = false;
 
   LinkStats stats_;

@@ -18,8 +18,6 @@
 
 #include "corpus/novelty.h"
 #include "fuzzer/netfleet/failover.h"
-#include "fuzzer/netfleet/mesh.h"
-#include "fuzzer/netfleet/nethub.h"
 #include "fuzzer/procfleet/shm.h"
 #include "fuzzer/procfleet/shm_hub.h"
 #include "fuzzer/procfleet/worker.h"
@@ -93,26 +91,18 @@ ProcFleetResult run_process_fleet(const Program& program,
         "run_process_fleet: persist_dir is required (crash isolation "
         "without durable state would lose every unsynced find)");
   }
-  if (config.net.enabled && !config.mesh_links.empty()) {
-    throw std::invalid_argument(
-        "run_process_fleet: net.enabled and mesh_links are mutually "
-        "exclusive (a coordinator is a spoke or the hub, not both)");
-  }
-  if (config.failover.enabled &&
-      (config.net.enabled || !config.mesh_links.empty())) {
-    throw std::invalid_argument(
-        "run_process_fleet: failover is mutually exclusive with net / "
-        "mesh_links (the FailoverMesh subsumes both roles)");
-  }
-  if (config.failover.enabled &&
-      (config.failover.num_nodes < 2 ||
-       config.failover.rank >= config.failover.num_nodes ||
+  // Federation: every remote peer appears behind one extra hub instance
+  // (the gateway) so imports flow to workers through ordinary fetch_new
+  // and exports are exactly what the gateway's own fetch_new returns.
+  const bool net_enabled = config.failover.num_nodes >= 2;
+  if (net_enabled &&
+      (config.failover.rank >= config.failover.num_nodes ||
        config.failover.initial_leader >= config.failover.num_nodes ||
        config.failover.initial_epoch == 0 ||
        config.failover.listen_fds.size() != config.failover.num_nodes ||
        config.failover.dial_ports.size() != config.failover.num_nodes)) {
     throw std::invalid_argument(
-        "run_process_fleet: malformed failover config (need >= 2 nodes, "
+        "run_process_fleet: malformed failover config (need "
         "rank/leader in range, epoch >= 1, and num_nodes-sized "
         "listen_fds/dial_ports)");
   }
@@ -157,12 +147,6 @@ ProcFleetResult run_process_fleet(const Program& program,
     (void)store.instance_store(id);
   }
 
-  // Federation: every remote peer appears behind one extra hub instance
-  // (the gateway) so imports flow to workers through ordinary fetch_new
-  // and exports are exactly what the gateway's own fetch_new returns. The
-  // gateway slot is shared by all links — a star hub still reserves one.
-  const bool net_enabled = config.net.enabled || !config.mesh_links.empty() ||
-                           config.failover.enabled;
   const u32 gateway_id = config.num_workers;
 
   ShmGeometry geom;
@@ -176,71 +160,45 @@ ProcFleetResult run_process_fleet(const Program& program,
   // the gateway's publish/fetch traffic.
   ShmHub hub(&segment, hub_opts, nullptr);
 
-  // Applies the shared peer-config defaults: fingerprint from the fleet
-  // identity (both sides of a correctly-configured federation derive the
-  // same value) and the entry-size clamp.
-  auto fill_net_defaults = [&](netfleet::NetPeerConfig net_cfg) {
-    if (net_cfg.session_fingerprint == 0) {
+  std::unique_ptr<netfleet::FailoverMesh> fomesh;
+  if (net_enabled) {
+    netfleet::FailoverNodeConfig fo = config.failover;
+    // Peer-config defaults: fingerprint from the fleet identity (nodes of
+    // a correctly-configured federation derive the same value) and the
+    // entry-size clamp.
+    if (fo.link.session_fingerprint == 0) {
       u64 h = 0xb1674a95ull;
       for (u64 v : {static_cast<u64>(fp.num_instances), fp.base_seed,
                     fp.seed_stride, fp.max_execs, static_cast<u64>(fp.scheme),
                     static_cast<u64>(fp.metric), fp.map_size}) {
         h = (h ^ v) * 0x100000001b3ull;
       }
-      net_cfg.session_fingerprint = h;
+      fo.link.session_fingerprint = h;
     }
-    if (net_cfg.max_entry_size > config.sync_max_input_size) {
-      net_cfg.max_entry_size = config.sync_max_input_size;
+    if (fo.link.max_entry_size > config.sync_max_input_size) {
+      fo.link.max_entry_size = config.sync_max_input_size;
     }
-    return net_cfg;
-  };
-  // Builds one gateway link from a peer config.
-  auto make_link = [&](const netfleet::NetPeerConfig& net_cfg) {
-    auto link = std::make_unique<netfleet::PeerLink>(
-        fill_net_defaults(net_cfg), coord_fault, gateway_id,
-        fleet != nullptr ? &fleet->registry() : nullptr);
-    if (!link->ok()) {
-      throw std::runtime_error("run_process_fleet: " + link->error());
-    }
-    return link;
-  };
-  // One remote model per link: the oracle re-executes each candidate and
-  // ships it only when it flips virgin bits the peer has not covered.
-  auto make_oracle = [&]() -> std::unique_ptr<corpus::NoveltyOracle> {
-    if (!config.net_virgin_oracle) return nullptr;
-    corpus::OracleConfig oc;
-    oc.scheme = config.base.scheme;
-    oc.metric = config.base.metric;
-    oc.map = config.base.map;
-    oc.seed = config.base.seed;
-    oc.step_budget = config.base.step_budget;
-    oc.work_per_block = config.base.work_per_block;
-    return corpus::make_novelty_oracle(program, oc);
-  };
-
-  std::unique_ptr<netfleet::NetHub> nethub;
-  std::unique_ptr<netfleet::MeshHub> meshhub;
-  std::unique_ptr<netfleet::FailoverMesh> fomesh;
-  if (config.failover.enabled) {
-    netfleet::FailoverNodeConfig fo = config.failover;
-    fo.link = fill_net_defaults(fo.link);
     if (fo.wal_path.empty()) {
       fo.wal_path = persist::federation_wal_path(config.persist_dir);
     }
+    // One remote model per link: the oracle re-executes each candidate and
+    // ships it only when it flips virgin bits the peer has not covered.
     netfleet::FailoverMesh::OracleFactory factory;
-    if (config.net_virgin_oracle) factory = make_oracle;
+    if (config.net_virgin_oracle) {
+      factory = [&]() -> std::unique_ptr<corpus::NoveltyOracle> {
+        corpus::OracleConfig oc;
+        oc.scheme = config.base.scheme;
+        oc.metric = config.base.metric;
+        oc.map = config.base.map;
+        oc.seed = config.base.seed;
+        oc.step_budget = config.base.step_budget;
+        oc.work_per_block = config.base.work_per_block;
+        return corpus::make_novelty_oracle(program, oc);
+      };
+    }
     fomesh = std::make_unique<netfleet::FailoverMesh>(
         &hub, gateway_id, std::move(fo), std::move(factory), coord_fault,
         fleet != nullptr ? &fleet->registry() : nullptr);
-  } else if (!config.mesh_links.empty()) {
-    meshhub = std::make_unique<netfleet::MeshHub>(&hub, gateway_id);
-    for (const netfleet::NetPeerConfig& ml : config.mesh_links) {
-      meshhub->add_link(make_link(ml), make_oracle());
-    }
-  } else if (net_enabled) {
-    nethub = std::make_unique<netfleet::NetHub>(&hub, gateway_id,
-                                                make_link(config.net));
-    if (config.net_virgin_oracle) nethub->set_oracle(make_oracle());
   }
 
   const u64 start_ns = monotonic_ns();
@@ -796,30 +754,15 @@ ProcFleetResult run_process_fleet(const Program& program,
       }
     }
 
-    if (nethub) nethub->pump(now);
-    if (meshhub) meshhub->pump(now);
     if (fomesh) fomesh->pump(now);
 
     if (unfinished == 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(config.poll_ms));
   }
 
-  if (nethub) {
-    // Drain the link before tallying: ship the final sync interval's
-    // finds, deliver the backlog, say goodbye.
-    nethub->shutdown(monotonic_ns());
-    out.net = nethub->link_stats();
-    out.oracle = nethub->oracle_stats();
-  }
-  if (meshhub) {
-    meshhub->shutdown(monotonic_ns());
-    out.net = meshhub->aggregate_link_stats();
-    out.oracle = meshhub->aggregate_oracle_stats();
-    for (usize i = 0; i < meshhub->link_count(); ++i) {
-      out.mesh.push_back(meshhub->link_stats(i));
-    }
-  }
   if (fomesh) {
+    // Drain the links before tallying: ship the final sync interval's
+    // finds, deliver the backlog, say goodbye.
     fomesh->shutdown(monotonic_ns());
     out.failover = fomesh->failover_stats();
     out.net = out.failover.net;

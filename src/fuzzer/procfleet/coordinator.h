@@ -117,33 +117,21 @@ struct ProcFleetConfig {
   // cooperative stop, then a SIGKILL grace period.
   double max_wall_seconds = 0.0;
 
-  // Federation (src/fuzzer/netfleet): when net.enabled, the coordinator
-  // reserves one extra hub instance as the remote peer's gateway identity
-  // and pumps a PeerLink from its event loop — workers never know the
-  // difference; remote finds arrive through their ordinary fetch_new.
-  netfleet::NetPeerConfig net;
-
-  // Hub role of a star topology: one link per spoke, all sharing the
-  // single gateway instance, with spoke-to-spoke relay through the hub
-  // (netfleet/mesh.h). Mutually exclusive with net.enabled — a coordinator
-  // is either a spoke (one link) or the hub (many).
-  std::vector<netfleet::NetPeerConfig> mesh_links;
-
-  // Upgrades every gateway link's novelty gate from content-hash to
-  // virgin-map semantics: a per-link corpus::NoveltyOracle re-executes
-  // each candidate against a model of that peer's coverage and ships it
-  // only when it would flip virgin bits there. Opt-in so oracle-free
-  // federation runs stay bit-identical.
-  bool net_virgin_oracle = false;
-
-  // Self-healing federation node (netfleet/failover.h): elects a new hub
-  // when the current one dies, fences stale epochs, syncs oracle state by
-  // delta. Mutually exclusive with net.enabled and mesh_links — the
-  // FailoverMesh subsumes both roles and switches between them at
-  // runtime. Its wal_path defaults to <persist_dir>/federation.wal; with
-  // net_virgin_oracle set its models are built by make_novelty_oracle
-  // exactly like the mesh's.
+  // Federation (src/fuzzer/netfleet): with failover.num_nodes >= 2 the
+  // coordinator reserves one extra hub instance as the federation's
+  // gateway identity and pumps a FailoverMesh node from its event loop —
+  // workers never know the difference; remote finds arrive through their
+  // ordinary fetch_new. The node is a pair member, a star hub or spoke,
+  // and switches roles at runtime when a leader dies. Its wal_path
+  // defaults to <persist_dir>/federation.wal.
   netfleet::FailoverNodeConfig failover;
+
+  // Upgrades every federation link's novelty gate from content-hash to
+  // virgin-map semantics: a per-link corpus::NoveltyOracle (built by
+  // make_novelty_oracle) models that peer's coverage, and an entry is
+  // shipped only when it would flip virgin bits there. Opt-in so
+  // oracle-free federation runs stay bit-identical.
+  bool net_virgin_oracle = false;
 };
 
 enum class WorkerState : u8 {
@@ -194,18 +182,17 @@ struct ProcFleetResult {
   persist::PersistStats persist;
   bool resumed = false;
 
-  // Federation link accounting (zeroed when no link was configured). For
-  // a star hub this is the sum over every spoke link; `mesh` then carries
-  // the per-link breakdown.
+  // Federation link accounting, summed over every link the node ever
+  // held (zeroed without federation).
   netfleet::LinkStats net;
-  std::vector<netfleet::LinkStats> mesh;
 
-  // Gateway novelty-oracle accounting, aggregated over every link (zeroed
+  // Gateway novelty-oracle accounting, aggregated over every model (zeroed
   // unless net_virgin_oracle was set).
   corpus::OracleStats oracle;
 
-  // Self-healing federation accounting (zeroed unless failover.enabled;
-  // its net/oracle fields are also copied into the two members above).
+  // Election/epoch accounting of the federation node (zeroed without
+  // federation; its net/oracle fields are also copied into the two
+  // members above).
   netfleet::FailoverStats failover;
 
   // Final fleet-level telemetry snapshot (zeroed without telemetry).

@@ -45,7 +45,9 @@ enum class FaultSite : u8 {
   kNoSpace,         // the write fails up front with ENOSPC
   // Process-level chaos sites (consulted by procfleet workers): each models
   // one way a whole worker process dies or degrades under a real fleet.
-  kProcKill,          // the worker SIGKILLs itself (wild write / OOM killer)
+  kProcKill,          // the worker SIGKILLs itself (wild write / OOM killer);
+                      // a federation leader counts it per applied oracle
+                      // delta on its gateway instance (host death)
   kProcStall,         // the worker SIGSTOPs itself (scheduler wedge / swap)
   kProcExitMidPublish,  // the worker dies inside a shm publish (torn record)
   kMmapFail,          // attaching the shared-memory segment fails

@@ -1,19 +1,21 @@
 // Tests for the federation tier: wire codec, PeerLink session machine
 // (novelty filter, session resume, go-back-N recovery, fault injection,
-// fingerprint refusal, epoch fencing, eviction resync), the NetHub
-// gateway, the FailoverMesh election machine, and the half-report
-// serialization the federated-pair harness speaks over its child pipes.
+// fingerprint refusal, epoch fencing, eviction resync), the FailoverMesh
+// federation node (gateway bridging, elections, no-election mode), and
+// the half-report serialization the federation harness speaks over its
+// child pipes.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <memory>
+#include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "fuzzer/netfleet/failover.h"
 #include "fuzzer/netfleet/federate.h"
 #include "fuzzer/netfleet/link.h"
-#include "fuzzer/netfleet/nethub.h"
 #include "fuzzer/netfleet/transport.h"
 #include "fuzzer/netfleet/wire.h"
 #include "fuzzer/sync.h"
@@ -163,7 +165,6 @@ struct LinkPair {
                     FaultInjector* fault_b = nullptr, u64 fp = 99,
                     u64 fp_b = 0) {
     NetPeerConfig ca;
-    ca.enabled = true;
     ca.listener = true;
     ca.port = 0;  // ephemeral
     ca.session_fingerprint = fp;
@@ -293,7 +294,8 @@ TEST(PeerLinkTest, ShortWriteTearsFrameButNeverDuplicatesAccepts) {
 
 TEST(PeerLinkTest, PartitionPausesThenReconciles) {
   FaultPlan plan;
-  plan.triggers.push_back({FaultSite::kNetPartition, 0, 4});
+  // Counted per record put on the wire: the first shipment cuts the link.
+  plan.triggers.push_back({FaultSite::kNetPartition, 0, 0});
   FaultInjector inj(8, plan);
   LinkPair p(&inj, nullptr);
   p.a->offer(Input{1});
@@ -327,7 +329,6 @@ TEST(PeerLinkTest, FingerprintMismatchIsFatalNotRetried) {
 
 TEST(PeerLinkTest, PeerSilenceTriggersTimeoutAndReconnectBudget) {
   NetPeerConfig cb;
-  cb.enabled = true;
   cb.listener = false;
   cb.host = "127.0.0.1";
   cb.port = 1;  // nothing listens on port 1
@@ -383,7 +384,6 @@ TEST(PeerLinkTest, StaleHelloIsFencedYetTeachesTheNewerEpoch) {
   // connection, clearing the unflushed hello with it, so a resurrected
   // stale hub probed forever without ever observing the new epoch.)
   NetPeerConfig ca;
-  ca.enabled = true;
   ca.listener = true;
   ca.port = 0;
   ca.session_fingerprint = 44;
@@ -429,7 +429,6 @@ TEST(PeerLinkTest, CursorRewindPastEvictionForcesFullResync) {
   // the gap is counted lost, a kResync fast-forwards the receiver, and
   // the exchange resumes — never a silent gap, never a stall.
   NetPeerConfig ca;
-  ca.enabled = true;
   ca.listener = true;
   ca.port = 0;
   ca.session_fingerprint = 55;
@@ -497,7 +496,6 @@ TEST(PeerLinkTest, CursorRewindPastEvictionForcesFullResync) {
 
 TEST(PeerLinkTest, OversizeEntriesAreRejectedAtOffer) {
   NetPeerConfig ca;
-  ca.enabled = true;
   ca.listener = true;
   ca.port = 0;
   ca.max_entry_size = 4;
@@ -508,110 +506,64 @@ TEST(PeerLinkTest, OversizeEntriesAreRejectedAtOffer) {
   EXPECT_EQ(link.stats().entries_offered, 1u);
 }
 
-// -------------------------------------------------------------- nethub --
-
-TEST(NetHubTest, GatewayBridgesTwoLocalHubsWithoutEcho) {
-  // Two 1-worker fleets, each with a gateway instance (id 1), federated.
-  SyncHub hub_a(2);
-  SyncHub hub_b(2);
-
-  NetPeerConfig ca;
-  ca.enabled = true;
-  ca.listener = true;
-  ca.port = 0;
-  ca.session_fingerprint = 5;
-  ca.heartbeat_ms = 5;
-  auto link_a = std::make_unique<PeerLink>(ca, nullptr, 1, nullptr);
-  ASSERT_TRUE(link_a->ok()) << link_a->error();
-  NetPeerConfig cb = ca;
-  cb.listener = false;
-  cb.port = link_a->listen_port();
-  auto link_b = std::make_unique<PeerLink>(cb, nullptr, 1, nullptr);
-  ASSERT_TRUE(link_b->ok()) << link_b->error();
-
-  NetHub net_a(&hub_a, 1, std::move(link_a));
-  NetHub net_b(&hub_b, 1, std::move(link_b));
-
-  // Worker 0 on side A finds something.
-  EXPECT_TRUE(net_a.publish(0, Input{0xAB, 0xCD}));
-  u64 now = 1 * kMs;
-  for (int i = 0; i < 8; ++i) {
-    net_a.pump(now);
-    net_b.pump(now);
-    now += 6 * kMs;
-  }
-
-  // Side B's worker imports it through its ordinary fetch.
-  auto got = net_b.fetch_new(0);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], (Input{0xAB, 0xCD}));
-
-  // No echo: nothing ever comes back to side A.
-  for (int i = 0; i < 8; ++i) {
-    net_a.pump(now);
-    net_b.pump(now);
-    now += 6 * kMs;
-  }
-  EXPECT_TRUE(net_a.fetch_new(0).empty());
-  EXPECT_EQ(net_a.link_stats().records_received, 0u);
-  EXPECT_EQ(net_b.link_stats().records_sent, 0u);
-
-  net_a.shutdown(now);
-  net_b.shutdown(now);
-}
-
 // ------------------------------------------------------------ failover --
 
-// Three FailoverMesh nodes wired over a real pre-bound listener matrix,
-// driven by fake time from one thread — the in-process twin of the forked
-// failover drill, small enough for the sanitizer jobs.
+// FailoverMesh nodes (three by default) wired over a real pre-bound
+// listener matrix, driven by fake time from one thread — the in-process
+// twin of the forked federation drill, small enough for the sanitizer
+// jobs.
 struct FailoverRing {
-  static constexpr u32 kN = 3;
+  const u32 n;
+  const u32 election_timeout_ms;
   std::vector<std::unique_ptr<SyncHub>> hubs;
   std::vector<std::unique_ptr<FailoverMesh>> meshes;
-  int fds[kN][kN];
-  u16 ports[kN][kN];
+  std::vector<std::vector<int>> fds;
+  std::vector<std::vector<u16>> ports;
   u64 now = 1 * kMs;
 
-  FailoverRing() {
-    for (u32 h = 0; h < kN; ++h) {
-      for (u32 s = 0; s < kN; ++s) {
-        fds[h][s] = -1;
-        ports[h][s] = 0;
+  explicit FailoverRing(u32 nodes = 3, u32 election_ms = 120,
+                        FaultInjector* fault0 = nullptr)
+      : n(nodes),
+        election_timeout_ms(election_ms),
+        fds(nodes, std::vector<int>(nodes, -1)),
+        ports(nodes, std::vector<u16>(nodes, 0)) {
+    for (u32 h = 0; h < n; ++h) {
+      for (u32 s = 0; s < n; ++s) {
         if (h == s) continue;
         std::string err;
         fds[h][s] = tcp_listen("127.0.0.1", &ports[h][s], &err);
         EXPECT_GE(fds[h][s], 0) << err;
       }
     }
-    for (u32 i = 0; i < kN; ++i) {
+    for (u32 i = 0; i < n; ++i) {
       hubs.push_back(std::make_unique<SyncHub>(2));
       meshes.push_back(make_mesh(i, /*resume_probe=*/false,
                                  /*stale_fatal=*/false,
-                                 /*initial_epoch=*/1));
+                                 /*initial_epoch=*/1,
+                                 i == 0 ? fault0 : nullptr));
     }
   }
 
   ~FailoverRing() {
     meshes.clear();
-    for (u32 h = 0; h < kN; ++h) {
-      for (u32 s = 0; s < kN; ++s) {
-        if (fds[h][s] >= 0) ::close(fds[h][s]);
+    for (const auto& row : fds) {
+      for (int fd : row) {
+        if (fd >= 0) ::close(fd);
       }
     }
   }
 
   std::unique_ptr<FailoverMesh> make_mesh(u32 rank, bool resume_probe,
-                                          bool stale_fatal, u64 epoch) {
+                                          bool stale_fatal, u64 epoch,
+                                          FaultInjector* fault = nullptr) {
     FailoverNodeConfig fc;
-    fc.enabled = true;
     fc.rank = rank;
-    fc.num_nodes = kN;
+    fc.num_nodes = n;
     fc.initial_leader = 0;
     fc.initial_epoch = epoch;
-    fc.listen_fds.assign(kN, -1);
-    fc.dial_ports.assign(kN, 0);
-    for (u32 j = 0; j < kN; ++j) {
+    fc.listen_fds.assign(n, -1);
+    fc.dial_ports.assign(n, 0);
+    for (u32 j = 0; j < n; ++j) {
       if (j == rank) continue;
       fc.listen_fds[j] = fds[rank][j];
       fc.dial_ports[j] = ports[j][rank];
@@ -622,13 +574,14 @@ struct FailoverRing {
     fc.link.peer_timeout_ms = 60;
     fc.link.reconnect_initial_ms = 1;
     fc.link.reconnect_cap_ms = 5;
-    fc.election_timeout_ms = 120;
+    fc.link.partition_ms = 300;
+    fc.election_timeout_ms = election_timeout_ms;
     fc.delta_interval_ms = 0;
     fc.resume_probe = resume_probe;
     fc.stale_fatal = stale_fatal;
     fc.probe_timeout_ms = 240;
     return std::make_unique<FailoverMesh>(hubs[rank].get(), 1, fc,
-                                          nullptr, nullptr, nullptr);
+                                          nullptr, fault, nullptr);
   }
 
   // Pumps every live mesh `rounds` times at 6ms fake steps.
@@ -641,6 +594,66 @@ struct FailoverRing {
     }
   }
 };
+
+TEST(FailoverTest, TwoNodeGatewayBridgesWithoutEcho) {
+  // Two 1-worker fleets, each with a gateway instance (id 1), federated
+  // as a pair that never elects.
+  FailoverRing pair(2, /*election_ms=*/0);
+  FailoverMesh& net_a = *pair.meshes[0];
+  FailoverMesh& net_b = *pair.meshes[1];
+
+  // Worker 0 on side A finds something.
+  EXPECT_TRUE(net_a.publish(0, Input{0xAB, 0xCD}));
+  pair.pump(8);
+
+  // Side B's worker imports it through its ordinary fetch.
+  auto got = net_b.fetch_new(0);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], (Input{0xAB, 0xCD}));
+
+  // No echo: nothing ever comes back to side A.
+  pair.pump(8);
+  EXPECT_TRUE(net_a.fetch_new(0).empty());
+  EXPECT_EQ(net_a.failover_stats().net.records_received, 0u);
+  EXPECT_EQ(net_b.failover_stats().net.records_sent, 0u);
+
+  net_a.shutdown(pair.now);
+  net_b.shutdown(pair.now);
+}
+
+TEST(FailoverTest, NoElectionPairRidesOutPartitionLongerThanPeerTimeout) {
+  // Rank 0's first record on the wire cuts its link for 300ms — five
+  // times the 60ms peer timeout, and past the election deadline a
+  // self-healing ring of this tuning would use.
+  FaultPlan plan;
+  plan.triggers.push_back({FaultSite::kNetPartition, 1, 0});
+  FaultInjector inj(13, plan);
+  FailoverRing pair(2, /*election_ms=*/0, &inj);
+  pair.pump(8);
+  ASSERT_TRUE(pair.meshes[0]->publish(0, Input{0x01, 0x02}));
+  pair.pump(4);
+  ASSERT_EQ(pair.meshes[0]->failover_stats().net.injected_partitions, 1u);
+
+  // A find on the spoke during the cut waits for the heal.
+  ASSERT_TRUE(pair.meshes[1]->publish(0, Input{0x03, 0x04}));
+  pair.pump(30);  // 180ms into the cut
+  EXPECT_GE(pair.meshes[1]->failover_stats().net.heartbeat_timeouts, 1u);
+  EXPECT_TRUE(pair.meshes[0]->fetch_new(0).empty());
+  pair.pump(60);  // past the heal
+
+  for (const auto& m : pair.meshes) {
+    const FailoverStats s = m->failover_stats();
+    EXPECT_EQ(s.elections, 0u);
+    EXPECT_EQ(s.promotions, 0u);
+    EXPECT_EQ(s.epoch, 1u);
+    EXPECT_EQ(s.leader_rank, 0u);
+  }
+  EXPECT_EQ(pair.meshes[0]->failover_stats().role, 0u);
+  EXPECT_EQ(pair.meshes[1]->failover_stats().role, 1u);
+  auto at0 = pair.meshes[0]->fetch_new(0);
+  ASSERT_EQ(at0.size(), 1u);
+  EXPECT_EQ(at0[0], (Input{0x03, 0x04}));
+}
 
 TEST(FailoverTest, ElectsSuccessorRehomesAndFencesStaleNode) {
   FailoverRing ring;
@@ -796,6 +809,24 @@ TEST(FederateTest, HalfReportRoundTrips) {
   EXPECT_EQ(h.failover.dup_suppressed, 12u);
   EXPECT_EQ(h.failover.deltas_shipped, 13u);
   EXPECT_EQ(h.failover.deltas_applied, 14u);
+
+  // Every key of the codec table, each set to a distinct value: a key that
+  // aliased another's field, or failed to parse, would come back wrong.
+  procfleet::ProcFleetResult all;
+  std::set<std::string> keys;
+  u64 calls = 0;
+  for_each_report_field(all, [&](const char* key, auto& v) {
+    keys.insert(key);
+    v = static_cast<std::remove_reference_t<decltype(v)>>(1000 + calls++);
+  });
+  EXPECT_EQ(calls, 49u);
+  EXPECT_EQ(keys.size(), calls);
+  HalfReport back;
+  ASSERT_TRUE(decode_half_report(encode_half_report(all, true, ""), &back));
+  u64 expect = 1000;
+  for_each_report_field(back, [&](const char* key, const auto& v) {
+    EXPECT_EQ(static_cast<u64>(v), expect++) << key;
+  });
 }
 
 TEST(FederateTest, FailureReportCarriesError) {
