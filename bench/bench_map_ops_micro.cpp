@@ -27,6 +27,7 @@
 #include "core/kernels/kernels.h"
 #include "core/two_level_map.h"
 #include "core/virgin.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace bigmap {
@@ -156,6 +157,31 @@ std::vector<u8> make_trace(usize len, u64 seed) {
   }
   return t;
 }
+
+// The CRC-32 every kernel's hash calls, on the same sparse used region:
+// the slicing-by-8 table loop against crc32(), which folds with carry-less
+// multiplication where the CPU has PCLMULQDQ (label "pclmul") and is the
+// same table loop elsewhere (label "portable").
+void BM_Crc32Portable(benchmark::State& state) {
+  const usize len = static_cast<usize>(state.range(0));
+  const std::vector<u8> trace = make_trace(len, 14);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32_update_portable(kCrc32Init, trace));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<i64>(len));
+}
+BENCHMARK(BM_Crc32Portable)->Arg(1 << 16)->Arg(2 << 20);
+
+void BM_Crc32(benchmark::State& state) {
+  const usize len = static_cast<usize>(state.range(0));
+  const std::vector<u8> trace = make_trace(len, 14);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(trace));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<i64>(len));
+  state.SetLabel(crc32_accelerated() ? "pclmul" : "portable");
+}
+BENCHMARK(BM_Crc32)->Arg(1 << 16)->Arg(2 << 20);
 
 void register_kernel_benches() {
   using kernels::KernelOps;

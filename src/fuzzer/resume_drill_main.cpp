@@ -4,8 +4,9 @@
 //
 //   resume_drill baseline            fault-free run, no persistence — the
 //                                    reference crash union and exec total
-//   resume_drill run <dir>           fresh persisted run, slowed down so an
-//                                    external SIGKILL lands mid-campaign
+//   resume_drill run <dir>           fresh persisted run that SIGKILLs its
+//                                    own process once the fleet has
+//                                    committed kKillAfterCheckpoints
 //   resume_drill resume <dir>        relaunch after the kill; replays the
 //                                    fleet journal and finishes the budget
 //
@@ -13,15 +14,20 @@
 // total_execs in a diff-friendly format; the drill passes when the resume
 // output matches the baseline exactly (find-union semantics and the exec
 // budget both survive the kill).
+#include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <stop_token>
+#include <thread>
 
 #include "fuzzer/supervisor.h"
 #include "target/generator.h"
+#include "telemetry/sink.h"
 
 using namespace bigmap;
 
@@ -54,6 +60,21 @@ SupervisorConfig make_config() {
   sc.backoff_cap_ms = 50;
   sc.checkpoint_interval = 512;
   return sc;
+}
+
+// The run mode kills itself once this many checkpoints are committed across
+// the fleet (of the ~78 a full run commits): late enough that every
+// instance has durable state, early enough that most of the budget is left
+// for the resume. Counted by progress, so the kill lands mid-run on any
+// host, however fast.
+constexpr u64 kKillAfterCheckpoints = 8;
+
+u64 checkpoints_committed(const telemetry::FleetTelemetry& fleet) {
+  u64 n = 0;
+  for (u32 i = 0; i < fleet.num_instances(); ++i) {
+    n += fleet.instance(i).checkpoints_written.get();
+  }
+  return n;
 }
 
 void print_result(const SupervisorResult& r) {
@@ -94,18 +115,29 @@ int main(int argc, char** argv) {
   SupervisorConfig sc = make_config();
   if (mode != "baseline") sc.persist_dir = dir;
   if (mode == "resume") sc.resume = true;
+  telemetry::FleetTelemetry fleet(sc.num_instances);
+  std::jthread killer;  // after `fleet`: joined before fleet is destroyed
   if (mode == "run") {
-    // Heavy per-block work stretches the run to many seconds so the drill
-    // script's SIGKILL reliably lands mid-campaign, with several
-    // checkpoints already committed. Exec counts are work-independent
-    // (deterministic timing), so the budget comparison still holds.
-    sc.base.work_per_block = 600;
+    sc.telemetry = &fleet;
     std::printf("running: pid %d dir %s\n", static_cast<int>(getpid()),
                 dir.c_str());
     std::fflush(stdout);
+    // SIGKILL, not exit: nothing gets to flush or unwind, exactly as if
+    // the host had pulled the process. A fleet that finishes first is not
+    // killed, so the drill script's "finished before the kill" guard sees
+    // it.
+    killer = std::jthread([&fleet](std::stop_token stop) {
+      while (!stop.stop_requested() &&
+             checkpoints_committed(fleet) < kKillAfterCheckpoints) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      if (!stop.stop_requested()) kill(getpid(), SIGKILL);
+    });
   }
 
   SupervisorResult r = run_supervised_campaign(target.program, seeds, sc);
+  killer.request_stop();
+  if (killer.joinable()) killer.join();
   std::printf("resumed: %d\n", r.resumed ? 1 : 0);
   print_result(r);
   return r.all_completed() ? 0 : 1;

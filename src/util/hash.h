@@ -1,9 +1,11 @@
 // Hash primitives used by the coverage machinery.
 //
-// - crc32(): table-driven CRC-32 (IEEE 802.3 polynomial, reflected). AFL
-//   hashes the classified trace bitmap with CRC-32 to cheaply detect
-//   duplicate execution paths; BigMap inherits that but hashes only up to
-//   the last non-zero byte (see core/two_level_map.h and paper §IV-D).
+// - crc32(): CRC-32 (IEEE 802.3 polynomial, reflected). AFL hashes the
+//   classified trace bitmap with CRC-32 to cheaply detect duplicate
+//   execution paths; BigMap inherits that but hashes only up to the last
+//   non-zero byte (see core/two_level_map.h and paper §IV-D). Every CRC
+//   in the program (trace hashes, record framing, journals, the wire)
+//   goes through crc32_update().
 // - fnv1a64(): FNV-1a for general-purpose hashing of small buffers.
 // - mix64(): a strong 64->64 bit finalizer (SplitMix64 finalizer) used for
 //   N-gram and calling-context coverage keys.
@@ -16,15 +18,24 @@
 namespace bigmap {
 
 // CRC-32 over a byte span (IEEE polynomial 0xEDB88320, init/final xor
-// 0xFFFFFFFF). Implemented with a 256-entry lookup table generated at
-// static-init time.
+// 0xFFFFFFFF).
 u32 crc32(std::span<const u8> data) noexcept;
 
 // Incremental variant: feed `state` from a previous call (start with
-// kCrc32Init) and finalize with crc32_finalize.
+// kCrc32Init) and finalize with crc32_finalize. Spans of 64 bytes or more
+// are folded with carry-less multiplication when the CPU has PCLMULQDQ
+// (chosen once per process); the rest, and every span on other CPUs, runs
+// crc32_update_portable. Both paths give the same value.
 inline constexpr u32 kCrc32Init = 0xFFFFFFFFu;
 u32 crc32_update(u32 state, std::span<const u8> data) noexcept;
 constexpr u32 crc32_finalize(u32 state) noexcept { return state ^ 0xFFFFFFFFu; }
+
+// Slicing-by-8 table CRC with crc32_update's contract: the fallback path
+// and the oracle the fold path is tested against.
+u32 crc32_update_portable(u32 state, std::span<const u8> data) noexcept;
+
+// True when crc32_update takes the carry-less-multiply path on this CPU.
+bool crc32_accelerated() noexcept;
 
 // FNV-1a 64-bit hash of a byte span.
 constexpr u64 fnv1a64(std::span<const u8> data) noexcept {

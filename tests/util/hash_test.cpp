@@ -7,6 +7,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "util/rng.h"
+
 namespace bigmap {
 namespace {
 
@@ -55,6 +57,75 @@ TEST(Crc32Test, SensitiveToEveryBytePosition) {
     std::vector<u8> mod = base;
     mod[i] ^= 0x01;
     EXPECT_NE(crc32(mod), h0) << "position " << i;
+  }
+}
+
+// Differential tests: crc32()/crc32_update() (carry-less-multiply fold on
+// CPUs with PCLMULQDQ) against the slicing-by-8 oracle.
+enum class Fill { kRandom, kSparse, kAllFF };
+
+std::vector<u8> make_buffer(usize n, Fill fill, u64 seed) {
+  Xoshiro256 rng(seed);
+  std::vector<u8> buf(n, fill == Fill::kAllFF ? 0xFF : 0x00);
+  for (u8& b : buf) {
+    if (fill == Fill::kRandom) {
+      b = static_cast<u8>(rng.next());
+    } else if (fill == Fill::kSparse && rng.next() % 50 == 0) {
+      b = static_cast<u8>(rng.next() | 1);  // ~2% non-zero, like a trace map
+    }
+  }
+  return buf;
+}
+
+u32 portable_crc(std::span<const u8> data) {
+  return crc32_finalize(crc32_update_portable(kCrc32Init, data));
+}
+
+TEST(Crc32Test, AcceleratedWheneverCpuHasPclmul) {
+  // Guards the differential below against comparing the portable path
+  // with itself on a host that could run the fold.
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("pclmul")) {
+    EXPECT_TRUE(crc32_accelerated());
+  }
+#else
+  EXPECT_FALSE(crc32_accelerated());
+#endif
+}
+
+TEST(Crc32Test, MatchesPortableAtEveryLengthAndOffset) {
+  constexpr usize kMaxLen = 1100;
+  constexpr usize kMaxOffset = 15;
+  for (Fill fill : {Fill::kRandom, Fill::kSparse, Fill::kAllFF}) {
+    const auto buf = make_buffer(kMaxLen + kMaxOffset, fill,
+                                 0xC0FFEEu + static_cast<u64>(fill));
+    for (usize off = 0; off <= kMaxOffset; ++off) {
+      for (usize len = 0; len <= kMaxLen; ++len) {
+        const std::span<const u8> s(buf.data() + off, len);
+        ASSERT_EQ(crc32(s), portable_crc(s))
+            << "fill " << static_cast<int>(fill) << " offset " << off
+            << " length " << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesPortableOnTwoMegabyteSparseMap) {
+  const auto map = make_buffer(usize{2} << 20, Fill::kSparse, 7);
+  EXPECT_EQ(crc32(map), portable_crc(map));
+}
+
+TEST(Crc32Test, ChainedUpdatesMatchOneShot) {
+  // Splits land on both sides of the 64-byte and 16-byte fold thresholds,
+  // so the state carried into each fold start and each tail is exercised.
+  const auto buf = make_buffer(1000, Fill::kRandom, 11);
+  const u32 whole = crc32(buf);
+  const std::span<const u8> all(buf);
+  for (usize cut = 0; cut <= 200; ++cut) {
+    u32 state = crc32_update(kCrc32Init, all.first(cut));
+    state = crc32_update(state, all.subspan(cut));
+    ASSERT_EQ(crc32_finalize(state), whole) << "split at " << cut;
   }
 }
 
