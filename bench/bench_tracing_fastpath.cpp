@@ -1,5 +1,7 @@
 // Coverage-guided tracing fast path: dual-mode (untraced + oracle-fire
-// re-execution) vs. always-trace campaigns at equal exec budgets.
+// re-execution) vs. always-trace campaigns at equal exec budgets, on flat
+// AFL maps — the only scheme with an untraced path (two-level maps trace
+// every exec in both modes, so there the two arms would be one campaign).
 //
 // Two claims, in the spirit of UnTracer/"Full-speed Fuzzing": at steady
 // state the overwhelming majority of executions are boring and complete
@@ -23,14 +25,13 @@ namespace {
 
 struct RowSpec {
   const char* benchmark;
-  MapScheme scheme;
   usize map_size;
 };
 
 CampaignConfig tracing_config(const RowSpec& spec, TracingMode tracing,
                               u64 execs) {
   CampaignConfig c;
-  c.scheme = spec.scheme;
+  c.scheme = MapScheme::kFlat;
   c.tracing = tracing;
   c.map.map_size = spec.map_size;
   c.max_execs = execs;
@@ -54,37 +55,34 @@ bool finds_equal(const CampaignResult& a, const CampaignResult& b) {
 int main(int argc, char** argv) {
   bench::init(argc, argv, "tracing");
   bench::print_header(
-      "Coverage-guided tracing — dual-mode vs. always-trace campaigns",
+      "Coverage-guided tracing — dual-mode vs. always-trace campaigns "
+      "(flat AFL maps)",
       "boring execs skip the whole-map pipeline entirely: >80% untraced at "
       "steady state, equal finds, end-to-end speedup growing with map size");
 
-  // Three BigMap rows at the paper's baseline 64 kB, plus one flat-map row
-  // at 2 MB where reset/classify/compare dominate and skipping them pays
-  // the most.
+  // Three profiles at the paper's baseline 64 kB, plus one row at 2 MB
+  // where reset/classify/compare dominate and skipping them pays the most.
   const RowSpec rows[] = {
-      {"zlib", MapScheme::kTwoLevel, 64u << 10},
-      {"proj4", MapScheme::kTwoLevel, 64u << 10},
-      {"sqlite3", MapScheme::kTwoLevel, 64u << 10},
-      {"proj4", MapScheme::kFlat, 64u << 10},
-      {"proj4", MapScheme::kFlat, 2u << 20},
+      {"zlib", 64u << 10},
+      {"proj4", 64u << 10},
+      {"sqlite3", 64u << 10},
+      {"proj4", 2u << 20},
   };
 
   u64 budget = bench::scaled_execs(50000);
   if (budget < 4000) budget = 4000;
   bench::report().set_meta("budget_execs", budget);
 
-  TableWriter ratio({"Benchmark", "Scheme", "Map", "Execs", "Untraced",
-                     "Fires", "Steady untraced"});
-  TableWriter speedup({"Benchmark", "Scheme", "Map", "Always exec/s",
-                       "Dual exec/s", "Speedup", "Finds equal"});
+  TableWriter ratio({"Benchmark", "Map", "Execs", "Untraced", "Fires",
+                     "Steady untraced"});
+  TableWriter speedup({"Benchmark", "Map", "Always exec/s", "Dual exec/s",
+                       "Speedup", "Finds equal"});
 
   for (const RowSpec& spec : rows) {
     const BenchmarkInfo* info = find_benchmark(spec.benchmark);
     if (info == nullptr) continue;
     auto target = build_benchmark(*info);
     auto seeds = bench::capped_seeds(target, *info);
-    const char* scheme_name =
-        spec.scheme == MapScheme::kFlat ? "AFL" : "BigMap";
 
     telemetry::TelemetrySink sink(0);
     CampaignConfig dual_cfg = tracing_config(spec, TracingMode::kDual,
@@ -102,7 +100,7 @@ int main(int argc, char** argv) {
         steady > 0 ? 100.0 * static_cast<double>(dual.tracing_untraced_execs) /
                          static_cast<double>(steady)
                    : 0.0;
-    ratio.add_row({spec.benchmark, scheme_name, fmt_bytes(spec.map_size),
+    ratio.add_row({spec.benchmark, fmt_bytes(spec.map_size),
                    std::to_string(dual.execs),
                    std::to_string(dual.tracing_untraced_execs),
                    std::to_string(dual.tracing_oracle_fires),
@@ -112,14 +110,15 @@ int main(int argc, char** argv) {
                                ? dual.steady_throughput() /
                                      always.steady_throughput()
                                : 0.0;
-    speedup.add_row({spec.benchmark, scheme_name, fmt_bytes(spec.map_size),
+    speedup.add_row({spec.benchmark, fmt_bytes(spec.map_size),
                      fmt_double(always.steady_throughput(), 0),
                      fmt_double(dual.steady_throughput(), 0),
                      fmt_double(ratio_x, 2) + "x",
                      finds_equal(dual, always) ? "yes" : "NO"});
 
     bench::report().add_series(
-        std::string("dual/") + spec.benchmark + "/" + scheme_name,
+        std::string("dual/") + spec.benchmark + "/" +
+            fmt_bytes(spec.map_size),
         sink.series());
   }
 

@@ -6,9 +6,10 @@
 #   1. baseline   — chaos-free fleet; reference find-union + exec budget
 #   2. storm      — seeded kill/stall/mid-publish/mmap-fail storm; output
 #                   must equal the baseline exactly
-#   3. storm-run  — the storm slowed down, coordinator SIGKILLed
-#                   mid-campaign, then `fleet_drill resume` replays the
-#                   journal; the resumed output must also equal baseline
+#   3. storm-run  — the storm with the coordinator SIGKILLing itself
+#                   mid-campaign, once the workers' summed execs reach a
+#                   fixed count; then `fleet_drill resume` replays the
+#                   journal and the resumed output must also equal baseline
 #
 # Finishes by running statecheck --fleet over every fleet dir the drill
 # produced. CI runs this as the fleet-chaos job.
@@ -43,40 +44,29 @@ compare_outputs storm "$WORK_DIR/baseline.txt" "$WORK_DIR/storm.txt"
 
 echo
 echo "== storm with coordinator SIGKILL mid-campaign =="
+# The coordinator SIGKILLs itself once its workers' summed execs, read from
+# their shm heartbeats, reach fleet_drill's kKillAfterExecs (several
+# checkpoint intervals), so the kill lands mid-run, after durable state has
+# been committed, however fast the host is.
 "$DRILL" storm-run "$WORK_DIR/kill" > "$WORK_DIR/kill_run.txt" 2>&1 &
 RUN_PID=$!
-# Wait until checkpoints exist so the kill provably lands mid-run, after
-# durable state has been committed (storm-run is slowed to take ~minutes).
-SAW_SNAPS=0
-for _ in $(seq 1 120); do
-  if compgen -G "$WORK_DIR/kill/instance-*/snap-*.bms" > /dev/null; then
-    SAW_SNAPS=1
-    break
-  fi
-  if ! kill -0 "$RUN_PID" 2> /dev/null; then
-    break
-  fi
-  sleep 0.5
-done
-if [ "$SAW_SNAPS" -ne 1 ]; then
-  echo "FAIL: no checkpoints appeared before the kill window closed;" >&2
-  echo "      the coordinator-kill stage cannot prove anything" >&2
-  cat "$WORK_DIR/kill_run.txt" >&2 || true
-  exit 1
-fi
-sleep 2
-if ! kill -0 "$RUN_PID" 2> /dev/null; then
-  echo "FAIL: fleet finished before the coordinator kill; drill proves" >&2
-  echo "      nothing (storm-run should take much longer than this)" >&2
-  cat "$WORK_DIR/kill_run.txt" >&2
-  exit 1
-fi
-kill -9 "$RUN_PID"
 set +e
 wait "$RUN_PID"
 STATUS=$?
 set -e
 RUN_PID=""
+if grep -q '^resumed:' "$WORK_DIR/kill_run.txt"; then
+  echo "FAIL: fleet finished before the coordinator kill; drill proves" >&2
+  echo "      nothing (storm-run should take much longer than this)" >&2
+  cat "$WORK_DIR/kill_run.txt" >&2
+  exit 1
+fi
+if ! compgen -G "$WORK_DIR/kill/instance-*/snap-*.bms" > /dev/null; then
+  echo "FAIL: no checkpoints appeared before the kill window closed;" >&2
+  echo "      the coordinator-kill stage cannot prove anything" >&2
+  cat "$WORK_DIR/kill_run.txt" >&2 || true
+  exit 1
+fi
 echo "coordinator killed (exit status $STATUS)"
 if [ "$STATUS" -ne 137 ]; then
   echo "FAIL: expected SIGKILL exit status 137, got $STATUS" >&2

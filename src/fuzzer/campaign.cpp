@@ -540,66 +540,69 @@ class Campaign {
   // Runs one input; adds it to the queue when interesting (or when it is a
   // non-crashing seed — AFL keeps all seeds). Returns true if queued.
   //
-  // Under TracingMode::kDual a non-seed input first runs UNTRACED: only the
-  // inline interest oracle observes the execution, and a boring run (no
-  // oracle fire, no crash, no hang) costs neither trace emission nor any
-  // whole-map operation. Firing runs — and every crash/hang, which needs
-  // the exact virgin_crash/virgin_hang compare — replay through the full
-  // traced pipeline. The oracle is exact against the queue virgin map
-  // (see Executor::run_untraced), so the traced pipeline observes
-  // precisely the interesting/crash/hang executions it would have
-  // observed under kAlways; everything downstream (queue, triage, sync,
-  // corpus, checkpoints) is therefore stream-identical between the modes,
-  // and beyond crash/hang replays a re-execution is only ever paid for an
-  // actually-interesting input.
+  // Under TracingMode::kDual a non-seed input on a FLAT map first runs
+  // UNTRACED: only the inline interest oracle observes the execution, and
+  // a boring run (no oracle fire, no crash, no hang) costs neither trace
+  // emission nor any whole-map operation. Firing runs — and every
+  // crash/hang, which needs the exact virgin_crash/virgin_hang compare —
+  // replay through the full traced pipeline. The oracle is exact against
+  // the queue virgin map (see Executor::run_untraced), so the traced
+  // pipeline observes precisely the interesting/crash/hang executions it
+  // would have observed under kAlways; everything downstream (queue,
+  // triage, sync, corpus, checkpoints) is therefore stream-identical
+  // between the modes, and beyond crash/hang replays a re-execution is
+  // only ever paid for an actually-interesting input.
+  //
+  // Two-level maps trace every exec in both modes: their reset, classify
+  // and compare already cover only the used region, so there is little
+  // for an untraced run to skip and the re-executions cost more than it
+  // saves.
   bool process(Input input, u32 depth, bool is_seed) {
     if (!fault_gate()) return false;
-    typename Executor<Map, Metric>::Outcome out;
-    if (cfg_.tracing == TracingMode::kDual && !is_seed) {
-      const auto fast = ex_.run_untraced(input, res_.timing);
-      if (fast.fired) {
-        ++res_.tracing_oracle_fires;
-        if (cfg_.telemetry != nullptr) {
-          cfg_.telemetry->tracing_oracle_fires.add();
+    bool reexec = false;
+    if constexpr (Map::kScheme == MapScheme::kFlat) {
+      if (cfg_.tracing == TracingMode::kDual && !is_seed) {
+        const auto fast = ex_.run_untraced(input, res_.timing);
+        if (fast.fired) {
+          ++res_.tracing_oracle_fires;
+          if (cfg_.telemetry != nullptr) {
+            cfg_.telemetry->tracing_oracle_fires.add();
+          }
         }
-      }
-      const bool reexec =
-          fast.fired || fast.exec.crashed() || fast.exec.hung();
-      if (!reexec) {
-        // Boring exec: count it and keep going — no map pipeline at all.
-        ++res_.execs;
-        ++res_.tracing_untraced_execs;
-        if (cfg_.telemetry != nullptr) {
-          cfg_.telemetry->tracing_untraced_execs.add();
-          cfg_.telemetry->exec_ns.record(fast.exec_ns);
+        if (!fast.fired && !fast.exec.crashed() && !fast.exec.hung()) {
+          // Boring exec: count it and keep going — no map pipeline at all.
+          ++res_.execs;
+          ++res_.tracing_untraced_execs;
+          if (cfg_.telemetry != nullptr) {
+            cfg_.telemetry->tracing_untraced_execs.add();
+            cfg_.telemetry->exec_ns.record(fast.exec_ns);
+          }
+          note_exec();
+          maybe_sample_series();
+          maybe_stamp_telemetry();
+          maybe_checkpoint();
+          maybe_compact_corpus();
+          return false;
         }
-        note_exec();
-        maybe_sample_series();
-        maybe_stamp_telemetry();
-        maybe_checkpoint();
-        maybe_compact_corpus();
-        return false;
+        // Traced re-execution. It passes the fault gate again: an aborted
+        // re-exec counts in NEITHER tracing counter and not against the
+        // budget — and since the untraced run mutated no campaign state,
+        // the breakpoint stays armed for the next time this coverage
+        // shows up.
+        if (!fault_gate()) return false;
+        reexec = true;
       }
-      // Traced re-execution. It passes the fault gate again: an aborted
-      // re-exec counts in NEITHER tracing counter and not against the
-      // budget — and since the untraced run mutated no campaign state,
-      // the breakpoint stays armed for the next time this coverage shows
-      // up.
-      if (!fault_gate()) return false;
-      const u64 reexec_start = monotonic_ns();
-      out = ex_.run(input, res_.timing);
-      const u64 reexec_ns = monotonic_ns() - reexec_start;
+    }
+    const u64 exec_start = reexec ? monotonic_ns() : 0;
+    const typename Executor<Map, Metric>::Outcome out =
+        ex_.run(input, res_.timing);
+    ++res_.tracing_traced_execs;
+    if (cfg_.telemetry != nullptr) cfg_.telemetry->tracing_traced_execs.add();
+    if (reexec) {
+      const u64 reexec_ns = monotonic_ns() - exec_start;
       res_.tracing_reexec_ns += reexec_ns;
-      ++res_.tracing_traced_execs;
       if (cfg_.telemetry != nullptr) {
-        cfg_.telemetry->tracing_traced_execs.add();
         cfg_.telemetry->tracing_reexec_ns.add(reexec_ns);
-      }
-    } else {
-      out = ex_.run(input, res_.timing);
-      ++res_.tracing_traced_execs;
-      if (cfg_.telemetry != nullptr) {
-        cfg_.telemetry->tracing_traced_execs.add();
       }
     }
     ++res_.execs;

@@ -61,12 +61,16 @@ struct ExecHook {
 //
 //   kAlways  every exec runs fully traced through the whole-map pipeline
 //            (classic AFL behaviour; the control arm for diff testing).
-//   kDual    non-seed execs first run UNTRACED with only the inline
-//            interest oracle; the exec is re-executed traced iff the
-//            oracle fires or the run crashes/hangs. Seeds always run
-//            traced (the queue needs their trace for scoring), as do
-//            trim executions. The two modes provably produce identical
+//   kDual    on FLAT maps, non-seed execs first run UNTRACED with only the
+//            inline interest oracle; the exec is re-executed traced iff
+//            the oracle fires or the run crashes/hangs. Seeds always run
+//            traced (the queue needs their trace for scoring), as do trim
+//            executions. The two modes provably produce identical
 //            find/crash/queue streams — mode_diff_test pins this.
+//            Two-level maps run kDual exactly as kAlways: BigMap already
+//            shrinks reset, classify and compare to the used region, so
+//            untraced runs saved less than their re-executions cost
+//            (DESIGN.md §14 has the measurements).
 enum class TracingMode : u8 {
   kAlways = 0,
   kDual = 1,
@@ -78,8 +82,9 @@ struct CampaignConfig {
   MapOptions map;
 
   // Coverage-guided tracing fast path: untraced-by-default execution with
-  // traced re-execution on oracle fire. Dual is the default because the
-  // modes are find-equivalent; benches compare against kAlways explicitly.
+  // traced re-execution on oracle fire, for flat maps (see TracingMode).
+  // Dual is the default because the modes are find-equivalent; benches
+  // compare against kAlways explicitly.
   TracingMode tracing = TracingMode::kDual;
 
   u64 seed = 1;
@@ -261,10 +266,10 @@ struct CampaignResult {
   //   tracing_untraced_execs + tracing_traced_execs == execs
   // (an exec counts as traced when it ran a map pipeline — seeds,
   // oracle-fire re-executions, crash/hang replays, trim executions, and
-  // every exec under TracingMode::kAlways).
+  // every exec under TracingMode::kAlways or on a two-level map).
   u64 tracing_untraced_execs = 0;
   u64 tracing_traced_execs = 0;
-  u64 tracing_oracle_fires = 0;  // untraced runs stopped by the oracle
+  u64 tracing_oracle_fires = 0;  // untraced runs the oracle fired on
   u64 tracing_reexec_ns = 0;     // wall time spent in traced re-executions
 
   // Corpus-store accounting (zero without a CorpusStore).

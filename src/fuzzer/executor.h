@@ -80,15 +80,7 @@ class Executor {
       const u64 start = monotonic_ns();
       metric_.begin_execution();
       out.exec = interp_.run(*prog_, input, [this](u32 block_index) {
-        if constexpr (ContextAwareMetric<Metric>) {
-          const Block& b = prog_->blocks[block_index];
-          if (b.kind == BlockKind::kCall) {
-            metric_.on_call(b.targets[0]);
-          } else if (b.kind == BlockKind::kReturn) {
-            metric_.on_return();
-          }
-        }
-        map_.update(metric_.visit(block_index));
+        map_.update(visit(block_index));
       });
       out.exec_ns = monotonic_ns() - start;
       timing.add(MapOp::kExecution, out.exec_ns);
@@ -117,118 +109,70 @@ class Executor {
   // Outcome of an untraced (coverage-guided tracing) run.
   struct UntracedOutcome {
     ExecResult exec;
-    // The interest oracle stopped the execution: this input may produce
-    // new coverage and must be re-executed with full tracing. The partial
-    // ExecResult is meaningless and must be discarded.
+    // This input may produce new coverage and must be re-executed with
+    // full tracing.
     bool fired = false;
     u64 exec_ns = 0;
   };
 
   // Runs one input with NO trace emission and NO whole-map operations —
-  // only the inline interest oracle. The oracle is EXACT against the
-  // queue virgin map: it fires if and only if the traced pipeline would
-  // report new bits for this input. Two parts compose:
+  // only the inline interest oracle. On a flat map the oracle is EXACT
+  // against the queue virgin map: it fires if and only if the traced
+  // pipeline would report new bits for this input. The run completes
+  // while a sparse per-position u8 counter mirrors the map's counter (same
+  // key & mask position, same 256-wrap); afterwards, fired = any touched
+  // position with classify_count(final_count) & virgin — byte-for-byte
+  // the test classify + compare_update would perform. Intermediate counts
+  // are deliberately NOT checked against virgin mid-run: a traced run
+  // clears only its FINAL bucket's bit, so lower-bucket bits stay virgin
+  // indefinitely and checking them over-fires on nearly every exec; the
+  // hot per-block path therefore touches no virgin byte at all, only the
+  // two count arrays.
   //
-  //  - first-hit check (two-level scheme): the metric key has no
-  //    condensed slot yet (slot_of == kUnassigned). A fresh key lands in
-  //    a fresh 0xFF virgin byte — guaranteed new bits — and untraced mode
-  //    must never mutate the index. On the non-context path this check is
-  //    BRANCHLESS: the unassigned sentinel is clamped (one cmov) onto a
-  //    spare counter slot just past the virgin positions, the run
-  //    completes like any other, and a touched spare slot reads back as
-  //    fired. The interpreter loop then needs no per-block stop check at
-  //    all (run_until_nostop). Context-aware metrics keep the stopping
-  //    oracle: their call/return bookkeeping already branches per block,
-  //    so the early stop costs nothing extra there.
-  //  - final-count check: otherwise the run completes fully while a
-  //    sparse per-position u8 counter mirrors the map's counter (same
-  //    256-wrap); afterwards, fired = any touched position with
-  //    classify_count(final_count) & virgin — byte-for-byte the test
-  //    classify + compare_update would perform. Intermediate counts are
-  //    deliberately NOT checked against virgin mid-run: a traced run
-  //    clears only its FINAL bucket's bit, so lower-bucket bits stay
-  //    virgin indefinitely and checking them over-fires on nearly every
-  //    exec; the hot per-block path therefore touches no virgin byte at
-  //    all, only the two count arrays.
+  // A two-level map has no untraced oracle: a key's virgin position is
+  // its condensed slot, which exists only once a traced update() assigns
+  // it. On that scheme the metric still runs but every run fires, so a
+  // caller that replays fired runs traced stays exact. Campaigns never
+  // take it: they trace two-level maps on every exec (Campaign::process).
   //
   // Crashes and hangs complete normally (fired stays false); the caller
   // decides to replay them traced for the exact crash/hang virgin compare.
-  // Nothing campaign-lifetime is touched: no index allocation, no virgin
-  // update — an aborted re-execution therefore leaves the breakpoint
-  // armed and the same input fires again.
+  // Nothing campaign-lifetime is touched: no virgin update — an aborted
+  // re-execution therefore leaves the breakpoint armed and the same input
+  // fires again.
   UntracedOutcome run_untraced(std::span<const u8> input,
                                OpTimeBreakdown& timing) {
     UntracedOutcome out;
-    // One spare slot past the virgin positions absorbs unassigned
-    // two-level keys on the branchless path; flat maps never touch it.
-    const u32 spare = static_cast<u32>(virgin_positions());
-    if (oracle_counts_.empty()) {
-      oracle_counts_.assign(virgin_positions() + 1, 0);
-      oracle_touched_.reserve(1024);
-    }
     const u64 start = monotonic_ns();
     metric_.begin_execution();
-    if constexpr (ContextAwareMetric<Metric>) {
-      out.exec = interp_.run_until(
-          *prog_, input, &out.fired, [this](u32 block_index) {
-            const Block& b = prog_->blocks[block_index];
-            if (b.kind == BlockKind::kCall) {
-              metric_.on_call(b.targets[0]);
-            } else if (b.kind == BlockKind::kReturn) {
-              metric_.on_return();
-            }
-            const u32 key = metric_.visit(block_index);
-            u32 pos;
-            if constexpr (Map::kScheme == MapScheme::kTwoLevel) {
-              pos = map_.slot_of(key);
-              if (pos == Map::kUnassigned) return true;
-            } else {
-              pos = key & static_cast<u32>(map_.map_size() - 1);
-            }
-            const u8 c = ++oracle_counts_[pos];
-            if (c == 1) oracle_touched_.push_back(pos);
-            return false;
-          });
-    } else {
-      out.exec = interp_.run_until_nostop(
-          *prog_, input, [this, spare](u32 block_index) {
-            const u32 key = metric_.visit(block_index);
-            u32 pos;
-            if constexpr (Map::kScheme == MapScheme::kTwoLevel) {
-              pos = map_.slot_of(key);
-              // Sentinel clamp compiles to a conditional move — no
-              // control-flow branch, no early exit.
-              pos = pos == Map::kUnassigned ? spare : pos;
-            } else {
-              pos = key & static_cast<u32>(map_.map_size() - 1);
-              (void)spare;
-            }
-            const u8 c = ++oracle_counts_[pos];
-            if (c == 1) oracle_touched_.push_back(pos);
-          });
-    }
-    // Fused final-count check + sparse counter reset, one pass over the
-    // touched positions (LUT classify, like the traced pipeline's
-    // classify_counts). Runs on every exit path so the scratch is always
-    // clean for the next run. The spare slot appearing in the touched
-    // list means an unassigned key executed — a guaranteed-new first hit,
-    // detected by membership rather than by count so a 256-wrap back to
-    // zero cannot mask it. The touched list can hold a duplicate after a
-    // wrap; the extra zero store is harmless.
-    {
+    if constexpr (Map::kScheme == MapScheme::kFlat) {
+      if (oracle_counts_.empty()) {
+        oracle_counts_.assign(virgin_positions(), 0);
+        oracle_touched_.reserve(1024);
+      }
+      const u32 mask = static_cast<u32>(map_.map_size() - 1);
+      out.exec = interp_.run(*prog_, input, [this, mask](u32 block_index) {
+        const u32 pos = visit(block_index) & mask;
+        const u8 c = ++oracle_counts_[pos];
+        if (c == 1) oracle_touched_.push_back(pos);
+      });
+      // Fused final-count check + sparse counter reset, one pass over the
+      // touched positions (LUT classify, like the traced pipeline's
+      // classify_counts). The touched list can hold a duplicate after a
+      // wrap; the extra zero store is harmless.
       const u8* virgin = virgin_queue_.data();
       const auto& lut = count_class_lookup8();
       bool novel = false;
       for (u32 pos : oracle_touched_) {
-        if (pos == spare) {
-          novel = true;
-        } else {
-          novel |= (virgin[pos] & lut[oracle_counts_[pos]]) != 0;
-        }
+        novel |= (virgin[pos] & lut[oracle_counts_[pos]]) != 0;
         oracle_counts_[pos] = 0;
       }
       oracle_touched_.clear();
-      out.fired = out.fired || novel;
+      out.fired = novel;
+    } else {
+      out.exec = interp_.run(*prog_, input,
+                             [this](u32 block_index) { visit(block_index); });
+      out.fired = true;
     }
     out.exec_ns = monotonic_ns() - start;
     timing.add(MapOp::kExecution, out.exec_ns);
@@ -255,15 +199,7 @@ class Executor {
       ScopedOpTimer t(timing, MapOp::kExecution);
       metric_.begin_execution();
       out.exec = interp_.run(*prog_, input, [this](u32 block_index) {
-        if constexpr (ContextAwareMetric<Metric>) {
-          const Block& b = prog_->blocks[block_index];
-          if (b.kind == BlockKind::kCall) {
-            metric_.on_call(b.targets[0]);
-          } else if (b.kind == BlockKind::kReturn) {
-            metric_.on_return();
-          }
-        }
-        map_.update(metric_.visit(block_index));
+        map_.update(visit(block_index));
       });
     }
     {
@@ -317,6 +253,20 @@ class Executor {
     }
   }
 
+  // The metric key of one executed block. Context-aware metrics first see
+  // the call/return edge the block makes.
+  u32 visit(u32 block_index) {
+    if constexpr (ContextAwareMetric<Metric>) {
+      const Block& b = prog_->blocks[block_index];
+      if (b.kind == BlockKind::kCall) {
+        metric_.on_call(b.targets[0]);
+      } else if (b.kind == BlockKind::kReturn) {
+        metric_.on_return();
+      }
+    }
+    return metric_.visit(block_index);
+  }
+
   NewBits classify_and_compare(VirginMap& virgin, OpTimeBreakdown& timing) {
     if (merged_) {
       const u64 start = monotonic_ns();
@@ -342,9 +292,9 @@ class Executor {
   VirginMap virgin_hang_;
   Interpreter interp_;
   bool merged_;
-  // Untraced-mode scratch: per-exec u8 hit counts per virgin position
-  // (lazily allocated on the first run_untraced) and the positions touched
-  // this run, for sparse reset.
+  // Untraced-mode scratch (flat maps only): per-exec u8 hit counts per
+  // virgin position (lazily allocated on the first run_untraced) and the
+  // positions touched this run, for sparse reset.
   std::vector<u8> oracle_counts_;
   std::vector<u32> oracle_touched_;
 };

@@ -9,9 +9,10 @@
 //                                 publish, mmap-fail attach, in-campaign
 //                                 instance kill — the fleet must converge
 //                                 to exactly the baseline output
-//   fleet_drill storm-run <dir>   the storm, slowed down so an external
-//                                 SIGKILL of the *coordinator* lands
-//                                 mid-campaign (prints its pid)
+//   fleet_drill storm-run <dir>   the storm, with the *coordinator*
+//                                 SIGKILLing itself once the workers'
+//                                 summed execs reach kKillAfterExecs
+//                                 (prints its pid)
 //   fleet_drill resume <dir>      relaunch after the coordinator kill;
 //                                 replays the fleet journal and finishes
 //
@@ -19,15 +20,20 @@
 // total_execs in a diff-friendly format; the drill passes when storm and
 // resume outputs match the baseline exactly (find-union semantics and the
 // exec budget survive any combination of worker and coordinator deaths).
+#include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <stop_token>
 #include <string>
+#include <thread>
 
 #include "fuzzer/procfleet/coordinator.h"
 #include "target/generator.h"
+#include "telemetry/sink.h"
 
 using namespace bigmap;
 using namespace bigmap::procfleet;
@@ -66,6 +72,21 @@ ProcFleetConfig make_config(const std::string& dir) {
   // exact find-union comparison the drill asserts.
   fc.quarantine_deaths = 0;
   return fc;
+}
+
+// storm-run's coordinator kills itself once the workers' summed execs, as
+// their shm heartbeats report them, reach this many (of the 40000 budget):
+// four checkpoint intervals per worker on average, so every worker has
+// durable state, and most of the budget is left for the resume. Counted by
+// progress, so the kill lands mid-run on any host, however fast.
+constexpr u64 kKillAfterExecs = 4 * 4 * 512;
+
+u64 fleet_execs(const telemetry::FleetTelemetry& fleet) {
+  u64 n = 0;
+  for (u32 i = 0; i < fleet.num_instances(); ++i) {
+    n += fleet.instance(i).execs.get();
+  }
+  return n;
 }
 
 // The storm: every process-level chaos site fires at least once, plus an
@@ -126,19 +147,28 @@ int main(int argc, char** argv) {
     fc.chaos_check_interval = 64;
   }
   if (mode == "resume") fc.resume = true;
+  telemetry::FleetTelemetry fleet(fc.num_workers);
+  std::jthread killer;  // after `fleet`: joined before fleet is destroyed
   if (mode == "storm-run") {
-    // Heavy per-block work stretches the run to many seconds so the drill
-    // script's coordinator SIGKILL reliably lands mid-campaign, with
-    // several checkpoints and journal events already committed. Exec
-    // counts are work-independent (deterministic timing), so the budget
-    // comparison still holds.
-    fc.base.work_per_block = 2500;
+    fc.telemetry = &fleet;
     std::printf("running: pid %d dir %s\n", static_cast<int>(getpid()),
                 dir.c_str());
     std::fflush(stdout);
+    // SIGKILL, not exit: nothing gets to flush or unwind, exactly as if
+    // the host had pulled the coordinator. A fleet that finishes first is
+    // not killed, so the drill script's "finished before the kill" guard
+    // sees it. Forked workers inherit no copy of this thread.
+    killer = std::jthread([&fleet](std::stop_token stop) {
+      while (!stop.stop_requested() && fleet_execs(fleet) < kKillAfterExecs) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      if (!stop.stop_requested()) kill(getpid(), SIGKILL);
+    });
   }
 
   ProcFleetResult r = run_process_fleet(target.program, seeds, fc);
+  killer.request_stop();
+  if (killer.joinable()) killer.join();
   std::printf("resumed: %d\n", r.resumed ? 1 : 0);
   print_result(r);
   return r.all_completed() ? 0 : 1;

@@ -1,12 +1,14 @@
 // Mode-equivalence differential harness (PR 4 kernel_diff_test style) for
 // the coverage-guided tracing fast path.
 //
-// Claim under test: a TracingMode::kDual campaign — untraced execution by
-// default, traced re-execution only when the interest oracle fires — finds
-// EXACTLY what a TracingMode::kAlways campaign finds, at equal exec
-// budgets, over the Table II profiles, including across mid-campaign
-// checkpoint/resume and under injected instance kills (supervisor-restart
-// semantics).
+// Claim under test: a TracingMode::kDual campaign on a flat map — untraced
+// execution by default, traced re-execution only when the interest oracle
+// fires — finds EXACTLY what a TracingMode::kAlways campaign finds, at
+// equal exec budgets, over the Table II profiles, including across
+// mid-campaign checkpoint/resume and under injected instance kills
+// (supervisor-restart semantics). On two-level maps kDual traces every
+// exec, so there the two modes must agree trivially and the fast path
+// must never engage (ModeDiffPolicyTest).
 //
 // What "exactly" means here (with deterministic_timing, same seed):
 //   - execs / seed_execs / interesting / hangs counters equal
@@ -15,15 +17,7 @@
 //   - the queue CONTENTS equal: same entries, same bytes, same order
 //   - covered virgin positions equal, coverage_series equal
 //   - trim decisions equal (trim_execs / trimmed_bytes)
-//
-// What deliberately is NOT compared for the two-level scheme: used_key and
-// per-entry bitmap_hash values. Dual mode allocates condensed slots only
-// during traced executions, so the key->slot assignment ORDER differs
-// between modes; the key-wise virgin state is provably identical (boring
-// execs clear nothing in either mode, firing execs run identical traced
-// compares), but slot-numbered artifacts are mode-relative. The flat
-// scheme has no such indirection, so there everything is compared,
-// bitmap hashes included.
+//   - map artifacts equal (used_key, saturated_updates)
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -81,11 +75,8 @@ std::vector<u64> sorted(std::vector<u64> v) {
 }
 
 // The full equality contract between a dual-mode and an always-trace result.
-// `compare_map_artifacts` adds the slot-numbered comparisons that are only
-// meaningful for the flat scheme.
 void expect_equivalent(const CampaignResult& dual,
-                       const CampaignResult& always,
-                       bool compare_map_artifacts) {
+                       const CampaignResult& always) {
   EXPECT_EQ(dual.execs, always.execs);
   EXPECT_EQ(dual.seed_execs, always.seed_execs);
   EXPECT_EQ(dual.interesting, always.interesting);
@@ -111,10 +102,8 @@ void expect_equivalent(const CampaignResult& dual,
     EXPECT_EQ(dual.corpus[i], always.corpus[i]) << "queue entry " << i;
   }
 
-  if (compare_map_artifacts) {
-    EXPECT_EQ(dual.used_key, always.used_key);
-    EXPECT_EQ(dual.saturated_updates, always.saturated_updates);
-  }
+  EXPECT_EQ(dual.used_key, always.used_key);
+  EXPECT_EQ(dual.saturated_updates, always.saturated_updates);
 
   // Accounting invariants on both arms.
   EXPECT_EQ(dual.tracing_untraced_execs + dual.tracing_traced_execs,
@@ -133,32 +122,29 @@ TEST_P(ModeDiffTable2Test, DualEqualsAlwaysTrace) {
   std::vector<Input> seeds = benchmark_seeds(target, info);
   if (seeds.size() > 6) seeds.resize(6);  // runtime budget, not coverage
 
-  for (MapScheme scheme : {MapScheme::kTwoLevel, MapScheme::kFlat}) {
-    CampaignResult dual =
-        run_campaign(target.program, seeds,
-                     diff_config(scheme, TracingMode::kDual, 4000));
-    CampaignResult always =
-        run_campaign(target.program, seeds,
-                     diff_config(scheme, TracingMode::kAlways, 4000));
-    SCOPED_TRACE(info.name + (scheme == MapScheme::kFlat ? "/flat" : "/2l"));
-    expect_equivalent(dual, always,
-                      /*compare_map_artifacts=*/scheme == MapScheme::kFlat);
-    // The fast path must actually engage, and every traced re-execution
-    // must be PAID FOR: an eligible exec (non-seed, non-trim) runs traced
-    // only when the oracle fired (=> it was interesting or crashed/hung)
-    // or it crashed/hung unfired. So the untraced count is bounded below
-    // by eligible - interesting - 2*(crashes + hangs) — any oracle
-    // over-fire regression breaks this immediately, at every budget. The
-    // tracing bench demonstrates the >80% steady-state ratio at scale.
-    const u64 eligible = dual.execs - dual.seed_execs - dual.trim_execs;
-    const u64 justified =
-        dual.interesting + 2 * (dual.crashes_total + dual.hangs);
-    EXPECT_GT(dual.tracing_untraced_execs, 0u);
-    EXPECT_GE(dual.tracing_untraced_execs,
-              eligible - std::min(eligible, justified));
-    EXPECT_LE(dual.tracing_oracle_fires,
-              dual.interesting + dual.crashes_total + dual.hangs);
-  }
+  CampaignResult dual = run_campaign(
+      target.program, seeds,
+      diff_config(MapScheme::kFlat, TracingMode::kDual, 4000));
+  CampaignResult always = run_campaign(
+      target.program, seeds,
+      diff_config(MapScheme::kFlat, TracingMode::kAlways, 4000));
+  SCOPED_TRACE(info.name);
+  expect_equivalent(dual, always);
+  // The fast path must actually engage, and every traced re-execution
+  // must be PAID FOR: an eligible exec (non-seed, non-trim) runs traced
+  // only when the oracle fired (=> it was interesting or crashed/hung)
+  // or it crashed/hung unfired. So the untraced count is bounded below
+  // by eligible - interesting - 2*(crashes + hangs) — any oracle
+  // over-fire regression breaks this immediately, at every budget. The
+  // tracing bench demonstrates the >80% steady-state ratio at scale.
+  const u64 eligible = dual.execs - dual.seed_execs - dual.trim_execs;
+  const u64 justified =
+      dual.interesting + 2 * (dual.crashes_total + dual.hangs);
+  EXPECT_GT(dual.tracing_untraced_execs, 0u);
+  EXPECT_GE(dual.tracing_untraced_execs,
+            eligible - std::min(eligible, justified));
+  EXPECT_LE(dual.tracing_oracle_fires,
+            dual.interesting + dual.crashes_total + dual.hangs);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -180,18 +166,18 @@ INSTANTIATE_TEST_SUITE_P(
 // the identical exec point.
 CampaignResult interrupted_resumed(const GeneratedTarget& target,
                                    const std::vector<Input>& seeds,
-                                   MapScheme scheme, TracingMode tracing,
+                                   TracingMode tracing,
                                    const std::string& dir, u64 part,
                                    u64 full) {
   persist::CheckpointStore store1(dir, persist::FaultCtx{}, /*fresh=*/true);
-  CampaignConfig pc = diff_config(scheme, tracing, part);
+  CampaignConfig pc = diff_config(MapScheme::kFlat, tracing, part);
   pc.checkpoint = &store1;
   pc.checkpoint_interval = 1024;
   CampaignResult first = run_campaign(target.program, seeds, pc);
   EXPECT_GT(first.checkpoints_written, 0u);
 
   persist::CheckpointStore store2(dir, persist::FaultCtx{}, /*fresh=*/false);
-  CampaignConfig rc = diff_config(scheme, tracing, full);
+  CampaignConfig rc = diff_config(MapScheme::kFlat, tracing, full);
   rc.checkpoint = &store2;
   rc.checkpoint_interval = 1024;
   rc.resume_from_checkpoint = true;
@@ -205,7 +191,7 @@ CampaignResult interrupted_resumed(const GeneratedTarget& target,
 // modes are interrupted at the same exec count and resumed from their
 // snapshots, the resumed dual campaign still lands exactly on the resumed
 // always-trace campaign's final state — resume re-derives the oracle's
-// breakpoint set entirely from the snapshotted virgin + index state.
+// breakpoint set entirely from the snapshotted virgin state.
 //
 // (Deliberately NOT asserted: resumed == uninterrupted. The snapshot
 // restarts the queue cycle at an entry boundary, so an interrupt landing
@@ -223,36 +209,30 @@ TEST(ModeDiffCheckpointTest, ResumeCrossesModesExactly) {
   std::vector<Input> seeds = make_seed_corpus(target, 4, 1);
 
   const u64 kPart = 4000, kFull = 9000;
-  for (MapScheme scheme : {MapScheme::kTwoLevel, MapScheme::kFlat}) {
-    SCOPED_TRACE(scheme == MapScheme::kFlat ? "flat" : "two-level");
-    const bool flat = scheme == MapScheme::kFlat;
+  TempDir dual_dir("flat_d");
+  CampaignResult resumed_dual = interrupted_resumed(
+      target, seeds, TracingMode::kDual, dual_dir.path, kPart, kFull);
+  TempDir always_dir("flat_a");
+  CampaignResult resumed_always = interrupted_resumed(
+      target, seeds, TracingMode::kAlways, always_dir.path, kPart, kFull);
 
-    TempDir dual_dir(flat ? "flat_d" : "twolevel_d");
-    CampaignResult resumed_dual =
-        interrupted_resumed(target, seeds, scheme, TracingMode::kDual,
-                            dual_dir.path, kPart, kFull);
-    TempDir always_dir(flat ? "flat_a" : "twolevel_a");
-    CampaignResult resumed_always =
-        interrupted_resumed(target, seeds, scheme, TracingMode::kAlways,
-                            always_dir.path, kPart, kFull);
+  expect_equivalent(resumed_dual, resumed_always);
 
-    expect_equivalent(resumed_dual, resumed_always, flat);
+  // The kTracingState record carried the lifetime split across the
+  // restart: the resumed dual run keeps accumulating untraced execs on
+  // top of the restored counters, and the invariant stays exact.
+  EXPECT_GT(resumed_dual.tracing_untraced_execs, 0u);
+  EXPECT_GT(resumed_dual.tracing_oracle_fires, 0u);
 
-    // The kTracingState record carried the lifetime split across the
-    // restart: the resumed dual run keeps accumulating untraced execs on
-    // top of the restored counters, and the invariant stays exact.
-    EXPECT_GT(resumed_dual.tracing_untraced_execs, 0u);
-    EXPECT_GT(resumed_dual.tracing_oracle_fires, 0u);
-
-    // Uninterrupted arms agree with each other too (same contract at a
-    // budget the Table II sweep doesn't cover).
-    CampaignResult straight = run_campaign(
-        target.program, seeds, diff_config(scheme, TracingMode::kDual, kFull));
-    CampaignResult always = run_campaign(
-        target.program, seeds,
-        diff_config(scheme, TracingMode::kAlways, kFull));
-    expect_equivalent(straight, always, flat);
-  }
+  // Uninterrupted arms agree with each other too (same contract at a
+  // budget the Table II sweep doesn't cover).
+  CampaignResult straight = run_campaign(
+      target.program, seeds,
+      diff_config(MapScheme::kFlat, TracingMode::kDual, kFull));
+  CampaignResult always = run_campaign(
+      target.program, seeds,
+      diff_config(MapScheme::kFlat, TracingMode::kAlways, kFull));
+  expect_equivalent(straight, always);
 }
 
 // Kills a campaign mid-run with an injected kInstanceKill (a crashing
@@ -266,7 +246,7 @@ CampaignResult killed_restarted(const GeneratedTarget& target,
   FaultPlan plan;
   plan.triggers.push_back({FaultSite::kInstanceKill, 0, kill_nth});
   FaultInjector injector(1, plan);
-  CampaignConfig doomed = diff_config(MapScheme::kTwoLevel, tracing, full);
+  CampaignConfig doomed = diff_config(MapScheme::kFlat, tracing, full);
   doomed.checkpoint = &store1;
   doomed.checkpoint_interval = 512;
   doomed.fault = &injector;
@@ -275,7 +255,7 @@ CampaignResult killed_restarted(const GeneratedTarget& target,
   EXPECT_GT(died.checkpoints_written, 0u);
 
   persist::CheckpointStore store2(dir, persist::FaultCtx{}, /*fresh=*/false);
-  CampaignConfig relaunch = diff_config(MapScheme::kTwoLevel, tracing, full);
+  CampaignConfig relaunch = diff_config(MapScheme::kFlat, tracing, full);
   relaunch.checkpoint = &store2;
   relaunch.checkpoint_interval = 512;
   relaunch.resume_from_checkpoint = true;
@@ -315,9 +295,37 @@ TEST(ModeDiffCheckpointTest, InstanceKillRestartStillMatchesAlwaysTrace) {
 
   ASSERT_EQ(resumed_dual.resumed_from_execs,
             resumed_always.resumed_from_execs);
-  expect_equivalent(resumed_dual, resumed_always,
-                    /*compare_map_artifacts=*/false);
+  expect_equivalent(resumed_dual, resumed_always);
   EXPECT_GT(resumed_dual.tracing_untraced_execs, 0u);
+}
+
+// --- per-scheme policy ------------------------------------------------------
+
+// Two-level maps have no untraced path: a kDual campaign on one traces
+// every exec, so it equals the kAlways campaign in everything — slot
+// numbering (used_key) and queue bytes included — and its tracing
+// counters show the fast path never ran.
+TEST(ModeDiffPolicyTest, TwoLevelDualTracesEveryExec) {
+  for (const char* name : {"zlib", "sqlite3"}) {
+    SCOPED_TRACE(name);
+    const BenchmarkInfo* info = find_benchmark(name);
+    ASSERT_NE(info, nullptr);
+    GeneratedTarget target = build_benchmark(*info);
+    std::vector<Input> seeds = benchmark_seeds(target, *info);
+    if (seeds.size() > 6) seeds.resize(6);
+
+    CampaignResult dual = run_campaign(
+        target.program, seeds,
+        diff_config(MapScheme::kTwoLevel, TracingMode::kDual, 4000));
+    CampaignResult always = run_campaign(
+        target.program, seeds,
+        diff_config(MapScheme::kTwoLevel, TracingMode::kAlways, 4000));
+    expect_equivalent(dual, always);
+    EXPECT_EQ(dual.tracing_untraced_execs, 0u);
+    EXPECT_EQ(dual.tracing_oracle_fires, 0u);
+    EXPECT_EQ(dual.tracing_reexec_ns, 0u);
+    EXPECT_EQ(dual.tracing_traced_execs, dual.execs);
+  }
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
-// Coverage-guided tracing oracle tests: breakpoint derivation, retention
-// across aborted re-executions, exact-conservativeness against the traced
-// pipeline, and campaign-level fault interaction (kExecAbort /
-// kTransientHang landing on the traced re-exec path).
+// Coverage-guided tracing oracle tests (flat maps, the only scheme with an
+// untraced path): breakpoint derivation, retention across aborted
+// re-executions, exact-conservativeness against the traced pipeline, and
+// campaign-level fault interaction (kExecAbort / kTransientHang landing on
+// the traced re-exec path).
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/flat_map.h"
-#include "core/two_level_map.h"
 #include "fuzzer/campaign.h"
 #include "fuzzer/executor.h"
 #include "target/generator.h"
@@ -36,33 +36,16 @@ GeneratedTarget branchy_target(u64 seed = 11) {
   return generate_target(p);
 }
 
-template <class Map>
-struct Fixture {
+struct FlatFixture {
   GeneratedTarget target = branchy_target();
   BlockIdTable ids{target.program.blocks.size(), 1u << 12, 77};
-  Executor<Map, EdgeMetric> ex{target.program, opts(), ids, 1u << 12};
+  Executor<FlatCoverageMap, EdgeMetric> ex{target.program, opts(), ids,
+                                           1u << 12};
   OpTimeBreakdown timing;
 };
 
-using TwoLevelFixture = Fixture<TwoLevelCoverageMap>;
-using FlatFixture = Fixture<FlatCoverageMap>;
-
 // The oracle must fire on an input whose coverage is entirely new, and go
 // quiet once a traced run has consumed that novelty.
-TEST(TracingOracleTest, FiresOnNoveltyThenQuiesces) {
-  TwoLevelFixture f;
-  const Input input{1, 2, 3, 4};
-
-  auto fast1 = f.ex.run_untraced(input, f.timing);
-  EXPECT_TRUE(fast1.fired);  // fresh virgin state: everything is new
-
-  auto traced = f.ex.run(input, f.timing);
-  ASSERT_TRUE(traced.interesting());
-
-  auto fast2 = f.ex.run_untraced(input, f.timing);
-  EXPECT_FALSE(fast2.fired);  // novelty consumed; same input is now boring
-}
-
 TEST(TracingOracleTest, FlatSchemeFiresOnNoveltyThenQuiesces) {
   FlatFixture f;
   const Input input{1, 2, 3, 4};
@@ -74,13 +57,12 @@ TEST(TracingOracleTest, FlatSchemeFiresOnNoveltyThenQuiesces) {
 // Breakpoint retention (the fault-interaction guarantee): an untraced run
 // mutates NO campaign-lifetime state, so when the traced re-exec is lost —
 // to an injected abort, a crash of the worker, anything — the same input
-// simply fires again on the next attempt. Also pins that the virgin maps
-// and the two-level index are untouched by untraced runs.
+// simply fires again on the next attempt. Also pins that the virgin map
+// is untouched by untraced runs.
 TEST(TracingOracleTest, AbortedReexecKeepsBreakpointArmed) {
-  TwoLevelFixture f;
+  FlatFixture f;
   const Input input{5, 6, 7, 8};
 
-  const u32 used_before = f.ex.map().used_key();
   std::vector<u8> virgin_before(f.ex.virgin_queue().data(),
                                 f.ex.virgin_queue().data() +
                                     f.ex.virgin_queue().size());
@@ -90,7 +72,6 @@ TEST(TracingOracleTest, AbortedReexecKeepsBreakpointArmed) {
   for (int attempt = 0; attempt < 3; ++attempt) {
     auto fast = f.ex.run_untraced(input, f.timing);
     EXPECT_TRUE(fast.fired) << "attempt " << attempt;
-    EXPECT_EQ(f.ex.map().used_key(), used_before) << "attempt " << attempt;
     std::vector<u8> virgin_now(f.ex.virgin_queue().data(),
                                f.ex.virgin_queue().data() +
                                    f.ex.virgin_queue().size());
@@ -106,16 +87,17 @@ TEST(TracingOracleTest, AbortedReexecKeepsBreakpointArmed) {
 // must fire on EVERY input the traced pipeline would have found
 // interesting (an under-fire is a lost find and must never happen), and —
 // for normally-completing executions — ONLY on those (an over-fire wastes
-// a traced re-exec; the early breakpoints may legitimately fire on runs
-// that then turn out to crash or hang). Two executors with identical
-// seeds run in lockstep: A decides untraced-first, B is the always-traced
-// control.
-template <class Map>
+// a traced re-exec; a run that crashes or hangs may legitimately fire,
+// since its coverage is checked against the queue virgin map, which the
+// traced run compares against the crash/hang map instead). Two executors
+// with identical seeds run in lockstep: A decides untraced-first, B is the
+// always-traced control.
 void run_conservativeness_stream(u64 target_seed) {
+  using FlatExecutor = Executor<FlatCoverageMap, EdgeMetric>;
   GeneratedTarget target = branchy_target(target_seed);
   BlockIdTable ids{target.program.blocks.size(), 1u << 12, 77};
-  Executor<Map, EdgeMetric> a{target.program, opts(), ids, 1u << 12};
-  Executor<Map, EdgeMetric> b{target.program, opts(), ids, 1u << 12};
+  FlatExecutor a{target.program, opts(), ids, 1u << 12};
+  FlatExecutor b{target.program, opts(), ids, 1u << 12};
   OpTimeBreakdown timing;
 
   Xoshiro256 rng(42);
@@ -128,7 +110,7 @@ void run_conservativeness_stream(u64 target_seed) {
     auto fast = a.run_untraced(input, timing);
     const bool reexec =
         fast.fired || fast.exec.crashed() || fast.exec.hung();
-    typename Executor<Map, EdgeMetric>::Outcome a_out;
+    FlatExecutor::Outcome a_out;
     if (reexec) a_out = a.run(input, timing);
 
     auto b_out = b.run(input, timing);
@@ -154,23 +136,15 @@ void run_conservativeness_stream(u64 target_seed) {
   EXPECT_LT(fires, 400u);
 }
 
-TEST(TracingOracleTest, NeverUnderFiresTwoLevel) {
-  for (u64 seed : {3u, 11u, 29u}) {
-    run_conservativeness_stream<TwoLevelCoverageMap>(seed);
-  }
-}
-
 TEST(TracingOracleTest, NeverUnderFiresFlat) {
-  for (u64 seed : {3u, 11u, 29u}) {
-    run_conservativeness_stream<FlatCoverageMap>(seed);
-  }
+  for (u64 seed : {3u, 11u, 29u}) run_conservativeness_stream(seed);
 }
 
 // --- campaign-level fault interaction ---------------------------------------
 
 CampaignConfig tracing_config(TracingMode tracing, u64 execs) {
   CampaignConfig c;
-  c.scheme = MapScheme::kTwoLevel;
+  c.scheme = MapScheme::kFlat;
   c.tracing = tracing;
   c.map.map_size = 1u << 16;
   c.map.huge_pages = false;

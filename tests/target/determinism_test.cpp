@@ -1,8 +1,8 @@
 // Interpreter determinism regression: same program + input + budget must
-// produce the identical execution in both tracing modes — step counts,
-// block sequences, and crash/hang verdicts. Dual-mode fuzzing leans on
-// this: an untraced run the oracle never stops must be bit-for-bit the
-// execution the traced re-run then performs.
+// produce the identical execution whatever the per-block callback does —
+// step counts, blocks visited, and crash/hang verdicts. Dual-mode fuzzing
+// leans on this: the untraced run, whose callback only counts hits, must
+// be bit-for-bit the execution the traced re-run then performs.
 #include "target/interpreter.h"
 
 #include <gtest/gtest.h>
@@ -38,25 +38,40 @@ Trace run_traced(Interpreter& interp, const Program& prog,
   return t;
 }
 
-template <typename Oracle>
-Trace run_untraced(Interpreter& interp, const Program& prog,
-                   const std::vector<u8>& input, bool* stopped,
-                   Oracle&& oracle) {
-  Trace t;
-  t.result = interp.run_until(prog, input, stopped, [&](u32 block) {
-    t.blocks.push_back(block);
-    return oracle(block);
-  });
-  return t;
+// An untraced-style run: the callback records no block stream, only how
+// often each block ran (the shape of the executor's untraced oracle).
+struct Counted {
+  ExecResult result;
+  std::vector<u32> hits;
+};
+
+Counted run_untraced(Interpreter& interp, const Program& prog,
+                     const std::vector<u8>& input) {
+  Counted c;
+  c.hits.assign(prog.blocks.size(), 0);
+  c.result = interp.run(prog, input, [&](u32 block) { ++c.hits[block]; });
+  return c;
+}
+
+void expect_same_result(const ExecResult& a, const ExecResult& b) {
+  EXPECT_EQ(a.outcome, b.outcome);
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.bug_id, b.bug_id);
+  EXPECT_EQ(a.faulting_block, b.faulting_block);
+  EXPECT_EQ(a.stack_hash, b.stack_hash);
 }
 
 void expect_identical(const Trace& a, const Trace& b) {
-  EXPECT_EQ(a.result.outcome, b.result.outcome);
-  EXPECT_EQ(a.result.steps, b.result.steps);
-  EXPECT_EQ(a.result.bug_id, b.result.bug_id);
-  EXPECT_EQ(a.result.faulting_block, b.result.faulting_block);
-  EXPECT_EQ(a.result.stack_hash, b.result.stack_hash);
+  expect_same_result(a.result, b.result);
   EXPECT_EQ(a.blocks, b.blocks);
+}
+
+// The counted run executed exactly the traced run's blocks, as a multiset.
+void expect_identical(const Trace& traced, const Counted& counted) {
+  expect_same_result(traced.result, counted.result);
+  std::vector<u32> hits(counted.hits.size(), 0);
+  for (u32 block : traced.blocks) ++hits[block];
+  EXPECT_EQ(hits, counted.hits);
 }
 
 std::vector<std::vector<u8>> probe_inputs(const GeneratedTarget& target) {
@@ -84,79 +99,23 @@ TEST(DeterminismTest, TracedRunsAreRepeatable) {
 TEST(DeterminismTest, UntracedRunsAreRepeatable) {
   GeneratedTarget target = determinism_target();
   Interpreter interp(1u << 14);
-  auto never = [](u32) { return false; };
   for (const auto& input : probe_inputs(target)) {
-    bool s1 = true, s2 = true;
-    Trace first = run_untraced(interp, target.program, input, &s1, never);
-    Trace second = run_untraced(interp, target.program, input, &s2, never);
-    EXPECT_FALSE(s1);
-    EXPECT_FALSE(s2);
-    expect_identical(first, second);
+    Counted first = run_untraced(interp, target.program, input);
+    Counted second = run_untraced(interp, target.program, input);
+    expect_same_result(first.result, second.result);
+    EXPECT_EQ(first.hits, second.hits);
   }
 }
 
-// The mode-equivalence cornerstone: a run_until the oracle never stops IS
-// the run() execution — identical block stream, step count, and verdict.
+// The mode-equivalence cornerstone: an untraced run IS the traced
+// execution — identical blocks, step count, and verdict.
 TEST(DeterminismTest, UntracedMatchesTracedWhenOracleNeverFires) {
   GeneratedTarget target = determinism_target();
   Interpreter interp(1u << 14);
   for (const auto& input : probe_inputs(target)) {
     Trace traced = run_traced(interp, target.program, input);
-    bool stopped = true;
-    Trace untraced = run_untraced(interp, target.program, input, &stopped,
-                                  [](u32) { return false; });
-    EXPECT_FALSE(stopped);
+    Counted untraced = run_untraced(interp, target.program, input);
     expect_identical(traced, untraced);
-  }
-}
-
-TEST(DeterminismTest, OracleStopEndsExecutionAtThatBlock) {
-  GeneratedTarget target = determinism_target();
-  Interpreter interp(1u << 14);
-  const std::vector<u8> input = make_seed_corpus(target, 1, 5)[0];
-
-  Trace full = run_traced(interp, target.program, input);
-  ASSERT_GT(full.result.steps, 4u);
-
-  // Stop at the 3rd executed block: exactly 3 steps happen and the stop
-  // flag is set; the partial result reports kOk (callers discard it).
-  u64 seen = 0;
-  bool stopped = false;
-  Trace partial =
-      run_untraced(interp, target.program, input, &stopped,
-                   [&](u32) { return ++seen == 3; });
-  EXPECT_TRUE(stopped);
-  EXPECT_EQ(partial.result.steps, 3u);
-  EXPECT_EQ(partial.result.outcome, ExecResult::Outcome::kOk);
-  ASSERT_EQ(partial.blocks.size(), 3u);
-  EXPECT_EQ(partial.blocks[0], full.blocks[0]);
-  EXPECT_EQ(partial.blocks[1], full.blocks[1]);
-  EXPECT_EQ(partial.blocks[2], full.blocks[2]);
-}
-
-// A mid-execution oracle stop must leave no residue in the interpreter —
-// the very next run (same or different input) is unaffected. This is what
-// lets the campaign re-execute a fired input on the same interpreter.
-TEST(DeterminismTest, OracleStopLeavesNoResidue) {
-  GeneratedTarget target = determinism_target();
-  Interpreter interp(1u << 14);
-  const auto inputs = probe_inputs(target);
-
-  std::vector<Trace> baseline;
-  for (const auto& input : inputs) {
-    baseline.push_back(run_traced(interp, target.program, input));
-  }
-
-  // Interleave: stop an untraced run after 1 block (possibly mid-call,
-  // with live loop counters), then immediately run traced and compare
-  // against the clean baseline.
-  for (usize i = 0; i < inputs.size(); ++i) {
-    bool stopped = false;
-    run_untraced(interp, target.program, inputs[i], &stopped,
-                 [](u32) { return true; });
-    EXPECT_TRUE(stopped);
-    Trace after = run_traced(interp, target.program, inputs[i]);
-    expect_identical(baseline[i], after);
   }
 }
 
@@ -170,10 +129,7 @@ TEST(DeterminismTest, CrashVerdictIdenticalInBothModes) {
     ASSERT_EQ(traced.result.outcome, ExecResult::Outcome::kCrash);
     EXPECT_EQ(traced.result.bug_id, bug);
 
-    bool stopped = true;
-    Trace untraced = run_untraced(interp, target.program, input, &stopped,
-                                  [](u32) { return false; });
-    EXPECT_FALSE(stopped);
+    Counted untraced = run_untraced(interp, target.program, input);
     expect_identical(traced, untraced);
   }
 }
@@ -194,10 +150,7 @@ TEST(DeterminismTest, HangVerdictIdenticalInBothModes) {
   EXPECT_EQ(traced.result.outcome, ExecResult::Outcome::kHang);
   EXPECT_EQ(traced.result.steps, full.result.steps - 1);
 
-  bool stopped = true;
-  Trace untraced = run_untraced(starved, target.program, input, &stopped,
-                                [](u32) { return false; });
-  EXPECT_FALSE(stopped);
+  Counted untraced = run_untraced(starved, target.program, input);
   expect_identical(traced, untraced);
 }
 
