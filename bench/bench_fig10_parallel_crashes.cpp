@@ -18,7 +18,7 @@
 
 #include "bench_common.h"
 #include "cachesim/smp.h"
-#include "fuzzer/supervisor.h"
+#include "fuzzer/fleet.h"
 #include "fuzzer/sync.h"
 
 using namespace bigmap;
@@ -50,13 +50,19 @@ void run_real_thread_section() {
     u64 restarts = 0;
     for (MapScheme scheme : {MapScheme::kFlat, MapScheme::kTwoLevel}) {
       const int i = scheme == MapScheme::kTwoLevel;
-      SupervisorConfig sc;
-      sc.num_instances = n;
+      FleetConfig sc;
+      sc.num_workers = n;
       sc.base.scheme = scheme;
       sc.base.map.map_size = 2u << 20;
       sc.base.max_execs = bench::scaled_execs(6000);
       sc.base.seed = 0xF16'0A;
-      auto r = run_supervised_campaign(target.program, seeds, sc);
+      sc.stall_deadline_ms = 500;
+      sc.max_restarts_per_worker = 3;
+      sc.backoff_initial_ms = 10;
+      sc.backoff_cap_ms = 1000;
+      sc.sync_max_records = 1u << 14;
+      sc.sync_max_input_size = 1u << 16;
+      auto r = run_thread_fleet(target.program, seeds, sc);
       crashes[i] = r.found_stack_hashes.size();
       execs[i] = r.total_execs;
       restarts += r.total_restarts;

@@ -36,8 +36,8 @@
 #include "bench_common.h"
 #include "cachesim/smp.h"
 #include "fuzzer/netfleet/federate.h"
+#include "fuzzer/fleet.h"
 #include "fuzzer/procfleet/coordinator.h"
-#include "fuzzer/supervisor.h"
 #include "target/generator.h"
 #include "telemetry/emit.h"
 
@@ -75,17 +75,23 @@ void run_real_thread_section() {
     u64 restarts = 0;
     for (u32 n : counts) {
       telemetry::FleetTelemetry fleet(n);
-      SupervisorConfig sc;
-      sc.num_instances = n;
+      FleetConfig sc;
+      sc.num_workers = n;
       sc.base.scheme = scheme;
       sc.base.map.map_size = 2u << 20;
       sc.base.max_execs = 0;
       sc.base.max_seconds = bench::config_seconds(0.5);
       sc.base.seed = 0xF19;
       sc.base.telemetry_interval = 2048;
+      sc.stall_deadline_ms = 500;
+      sc.max_restarts_per_worker = 3;
+      sc.backoff_initial_ms = 10;
+      sc.backoff_cap_ms = 1000;
+      sc.sync_max_records = 1u << 14;
+      sc.sync_max_input_size = 1u << 16;
       sc.telemetry = &fleet;
       sc.fleet_stamp_ms = 50;
-      auto r = run_supervised_campaign(target.program, seeds, sc);
+      auto r = run_thread_fleet(target.program, seeds, sc);
       if (n == counts[0]) base = r.aggregate_throughput;
       last_agg = r.aggregate_throughput;
       restarts += r.total_restarts;
@@ -156,6 +162,14 @@ void run_real_process_section() {
       std::filesystem::temp_directory_path() /
       ("bigmap_fig9_procs_" + std::to_string(::getpid()));
 
+  FaultPlan chaos_plan;
+  chaos_plan.triggers.push_back({FaultSite::kProcKill, 1, 1});
+  chaos_plan.triggers.push_back({FaultSite::kProcKill, 1, 2});
+  chaos_plan.triggers.push_back({FaultSite::kProcKill, 1, 3});
+  // Only the coordinator consults this injector directly; every worker
+  // process rebuilds its own from the seed and plan.
+  FaultInjector chaos_fault(42, chaos_plan);
+
   const auto run_fleet = [&](const char* name, u32 workers, bool chaos) {
     const std::string dir = root + "/" + name;
     std::filesystem::remove_all(dir);
@@ -178,14 +192,10 @@ void run_real_process_section() {
       // Worker 1 SIGKILLs itself on its first three chaos checks: three
       // abnormal deaths inside the window park it, and its undone budget
       // is redistributed over the three survivors.
-      fc.fault_enabled = true;
-      fc.fault_seed = 42;
+      fc.fault = &chaos_fault;
       fc.chaos_check_interval = 64;
       fc.quarantine_deaths = 3;
       fc.quarantine_window_ms = 600000;
-      fc.fault_plan.triggers.push_back({FaultSite::kProcKill, 1, 1});
-      fc.fault_plan.triggers.push_back({FaultSite::kProcKill, 1, 2});
-      fc.fault_plan.triggers.push_back({FaultSite::kProcKill, 1, 3});
     }
     auto r = procfleet::run_process_fleet(target.program, seeds, fc);
     std::filesystem::remove_all(dir);

@@ -28,6 +28,9 @@ CHAOS_DIR="$WORK_DIR/chaos"
 mkdir -p "$WORK_DIR"
 rm -rf "$BASE_DIR" "$CHAOS_DIR"
 
+. scripts/drill_lib.sh
+trap cleanup EXIT
+
 echo "== baseline (fault-free) =="
 "$DRILL" baseline "$BASE_DIR" | tee "$WORK_DIR/baseline.txt"
 
@@ -69,8 +72,8 @@ grep '^compact-kill:' "$WORK_DIR/run.txt"
 
 echo
 echo "== statecheck on what the dead process left behind =="
-"$STATECHECK" --fleet "$CHAOS_DIR/fleet"
-"$STATECHECK" --corpus "$CHAOS_DIR"
+statecheck_audit --fleet "fleet" "$CHAOS_DIR/fleet"
+statecheck_audit --corpus "corpus" "$CHAOS_DIR"
 
 echo
 echo "== resume =="
@@ -82,8 +85,9 @@ grep -q '^resumed: 1$' "$WORK_DIR/resume.txt" || {
 
 echo
 echo "== comparing recovered corpus against the baseline =="
-for key in bug_ids stack_hashes total_execs all_completed \
-    corpus_entries corpus_crash_rows corpus_trim corpus_digest; do
+compare_outputs "resumed " "$WORK_DIR/baseline.txt" "$WORK_DIR/resume.txt" \
+  baseline "after chaos recovery"
+for key in corpus_entries corpus_crash_rows corpus_trim corpus_digest; do
   base_line=$(grep "^$key:" "$WORK_DIR/baseline.txt")
   res_line=$(grep "^$key:" "$WORK_DIR/resume.txt")
   if [ "$base_line" != "$res_line" ]; then
@@ -105,8 +109,8 @@ echo "  canonical packs byte-identical"
 
 echo
 echo "== final fsck of both stores =="
-"$STATECHECK" --corpus "$BASE_DIR"
-"$STATECHECK" --corpus "$CHAOS_DIR"
+statecheck_audit --corpus "baseline corpus" "$BASE_DIR"
+statecheck_audit --corpus "recovered corpus" "$CHAOS_DIR"
 
 echo
 echo "corpus chaos drill PASSED"

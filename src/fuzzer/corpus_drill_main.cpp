@@ -41,7 +41,7 @@
 #include <unordered_set>
 
 #include "corpus/store.h"
-#include "fuzzer/supervisor.h"
+#include "fuzzer/fleet.h"
 #include "persist/io.h"
 #include "persist/snapshot.h"
 #include "target/generator.h"
@@ -61,9 +61,9 @@ GeneratedTarget make_target() {
   return generate_target(gp);
 }
 
-SupervisorConfig make_config() {
-  SupervisorConfig sc;
-  sc.num_instances = 4;
+FleetConfig make_config() {
+  FleetConfig sc;
+  sc.num_workers = 4;
   sc.base.scheme = MapScheme::kTwoLevel;
   sc.base.map.map_size = 1u << 16;
   sc.base.map.huge_pages = false;
@@ -75,9 +75,11 @@ SupervisorConfig make_config() {
   sc.base.deterministic_timing = true;
   sc.poll_ms = 2;
   sc.stall_deadline_ms = 2000;
-  sc.max_restarts_per_instance = 3;
+  sc.max_restarts_per_worker = 3;
   sc.backoff_initial_ms = 5;
   sc.backoff_cap_ms = 50;
+  sc.sync_max_records = 1u << 14;
+  sc.sync_max_input_size = 1u << 16;
   sc.checkpoint_interval = 512;
   return sc;
 }
@@ -133,7 +135,7 @@ std::unordered_set<u64> snapshot_pinned(const std::string& fleet_dir) {
 // Offline maintenance + canonical export; the printed keys are what the
 // drill script diffs between baseline and resume.
 int finalize_and_print(corpus::CorpusStore& store, const std::string& dir,
-                       const SupervisorResult& r) {
+                       const FleetResult& r) {
   std::string err;
   store.flush_pending(&err);
   const corpus::TrimReport tr = store.trim(snapshot_pinned(dir));
@@ -189,7 +191,7 @@ int main(int argc, char** argv) {
 
   auto target = make_target();
   auto seeds = make_seed_corpus(target, 4, 1);
-  SupervisorConfig sc = make_config();
+  FleetConfig sc = make_config();
   // The fleet store wipes its directory on a fresh start, so the corpus
   // store lives beside it, not inside it.
   sc.persist_dir = dir + "/fleet";
@@ -237,7 +239,7 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  SupervisorResult r = run_supervised_campaign(target.program, seeds, sc);
+  FleetResult r = run_thread_fleet(target.program, seeds, sc);
   if (mode == "run") {
     // The compact hook should have killed us long before the budget ran
     // out; reaching here means the chaos never happened.

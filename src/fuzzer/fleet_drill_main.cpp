@@ -140,10 +140,9 @@ int main(int argc, char** argv) {
   auto target = make_target();
   auto seeds = make_seed_corpus(target, 4, 1);
   ProcFleetConfig fc = make_config(dir);
+  FaultInjector storm(77, make_storm_plan());
   if (mode != "baseline") {
-    fc.fault_enabled = true;
-    fc.fault_seed = 77;
-    fc.fault_plan = make_storm_plan();
+    fc.fault = &storm;
     fc.chaos_check_interval = 64;
   }
   if (mode == "resume") fc.resume = true;

@@ -63,6 +63,7 @@
 // exit 3 when the drill proved nothing.
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <string>
 
 #include "fuzzer/netfleet/federate.h"
@@ -273,6 +274,8 @@ int run_federated(const GeneratedTarget& target,
     }
   }
 
+  // Per-node fault schedules; each forked node uses its own copy.
+  std::deque<FaultInjector> injectors;
   FederationOpts opts;
   if (mode == "pair-storm" || mode == "star-storm") {
     // Decorrelated seeds: the sides fail at different times. In the star
@@ -280,24 +283,18 @@ int run_federated(const GeneratedTarget& target,
     // across its links) plus one spoke's, so connector-side failures
     // fire too.
     for (usize i = 0; i < 2; ++i) {
-      nodes[i].fault_enabled = true;
-      nodes[i].fault_seed = 909 + i;
-      nodes[i].fault_plan = make_net_storm_plan();
+      nodes[i].fault = &injectors.emplace_back(909 + i, make_net_storm_plan());
       nodes[i].failover.link.partition_ms = 300;
     }
   } else if (mode == "pair-partition") {
     // Only rank 0 cuts the link; rank 1 experiences the partition as a
     // peer timeout and keeps retrying into the void until the heal.
-    nodes[0].fault_enabled = true;
-    nodes[0].fault_seed = 911;
-    nodes[0].fault_plan = make_partition_plan();
+    nodes[0].fault = &injectors.emplace_back(911, make_partition_plan());
     nodes[0].failover.link.partition_ms = 1000;
     // Stretch the campaign so both sides keep fuzzing through the cut.
     for (ProcFleetConfig& fc : nodes) fc.base.work_per_block = 800;
   } else if (failover && mode != "star4") {
-    nodes[0].fault_enabled = true;
-    nodes[0].fault_seed = 919;
-    nodes[0].fault_plan = make_leader_kill_plan();
+    nodes[0].fault = &injectors.emplace_back(919, make_leader_kill_plan());
     opts.resurrect = mode == "failover-stale"
                          ? FederationOpts::Resurrect::kStale
                          : FederationOpts::Resurrect::kRejoin;
@@ -307,9 +304,8 @@ int run_federated(const GeneratedTarget& target,
     // Seeded chaos on the survivors' gateways while they detect the death
     // and elect; decorrelated seeds so the ranks fail at different times.
     for (usize i = 1; i < ranks; ++i) {
-      nodes[i].fault_enabled = true;
-      nodes[i].fault_seed = 920 + i;
-      nodes[i].fault_plan = make_election_storm_plan();
+      nodes[i].fault =
+          &injectors.emplace_back(920 + i, make_election_storm_plan());
     }
   }
 

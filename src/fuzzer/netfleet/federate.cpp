@@ -41,7 +41,7 @@ std::string read_all(int fd) {
   std::string report;
   try {
     const procfleet::ProcFleetResult r =
-        run_process_fleet(program, seeds, config);
+        procfleet::run_process_fleet(program, seeds, config);
     report = encode_half_report(r, true, "");
   } catch (const std::exception& e) {
     report = encode_half_report(procfleet::ProcFleetResult{}, false,
@@ -292,7 +292,7 @@ FederationResult run_federation(const Program& program,
       c.failover.stale_fatal =
           opts.resurrect == FederationOpts::Resurrect::kStale;
       // A fresh injector would replay the kill that just fired.
-      c.fault_enabled = false;
+      c.fault = nullptr;
       pids[i] = spawn(i);
       alive[i] = pids[i] > 0;
       if (pids[i] < 0) out.error = "federate: resurrection fork failed";

@@ -72,10 +72,9 @@ struct WorkerParams {
   u64 checkpoint_interval = 0;
   u32 keep_checkpoints = 2;
 
-  // Deterministic fault schedule, rebuilt inside the worker process.
-  bool fault_enabled = false;
-  u64 fault_seed = 0;
-  FaultPlan fault_plan;
+  // Deterministic fault schedule (null = none): the coordinator's
+  // injector, whose seed and plan the worker rebuilds its own from.
+  const FaultInjector* fault = nullptr;
   // Executions between chaos-site checks.
   u64 chaos_check_interval = 64;
 

@@ -25,7 +25,7 @@
 #include <stop_token>
 #include <thread>
 
-#include "fuzzer/supervisor.h"
+#include "fuzzer/fleet.h"
 #include "target/generator.h"
 #include "telemetry/sink.h"
 
@@ -43,9 +43,9 @@ GeneratedTarget make_target() {
   return generate_target(gp);
 }
 
-SupervisorConfig make_config() {
-  SupervisorConfig sc;
-  sc.num_instances = 4;
+FleetConfig make_config() {
+  FleetConfig sc;
+  sc.num_workers = 4;
   sc.base.scheme = MapScheme::kTwoLevel;
   sc.base.map.map_size = 1u << 16;
   sc.base.map.huge_pages = false;
@@ -55,9 +55,11 @@ SupervisorConfig make_config() {
   sc.base.deterministic_timing = true;
   sc.poll_ms = 2;
   sc.stall_deadline_ms = 2000;
-  sc.max_restarts_per_instance = 3;
+  sc.max_restarts_per_worker = 3;
   sc.backoff_initial_ms = 5;
   sc.backoff_cap_ms = 50;
+  sc.sync_max_records = 1u << 14;
+  sc.sync_max_input_size = 1u << 16;
   sc.checkpoint_interval = 512;
   return sc;
 }
@@ -77,7 +79,7 @@ u64 checkpoints_committed(const telemetry::FleetTelemetry& fleet) {
   return n;
 }
 
-void print_result(const SupervisorResult& r) {
+void print_result(const FleetResult& r) {
   std::vector<u32> bugs = r.found_bug_ids;
   std::sort(bugs.begin(), bugs.end());
   std::vector<u64> hashes = r.found_stack_hashes;
@@ -112,10 +114,10 @@ int main(int argc, char** argv) {
 
   auto target = make_target();
   auto seeds = make_seed_corpus(target, 4, 1);
-  SupervisorConfig sc = make_config();
+  FleetConfig sc = make_config();
   if (mode != "baseline") sc.persist_dir = dir;
   if (mode == "resume") sc.resume = true;
-  telemetry::FleetTelemetry fleet(sc.num_instances);
+  telemetry::FleetTelemetry fleet(sc.num_workers);
   std::jthread killer;  // after `fleet`: joined before fleet is destroyed
   if (mode == "run") {
     sc.telemetry = &fleet;
@@ -135,7 +137,7 @@ int main(int argc, char** argv) {
     });
   }
 
-  SupervisorResult r = run_supervised_campaign(target.program, seeds, sc);
+  FleetResult r = run_thread_fleet(target.program, seeds, sc);
   killer.request_stop();
   if (killer.joinable()) killer.join();
   std::printf("resumed: %d\n", r.resumed ? 1 : 0);

@@ -25,7 +25,7 @@
 namespace bigmap::persist {
 
 // Plain-value persistence accounting, aggregatable across stores. Also the
-// shape SupervisorResult reports.
+// shape FleetResult reports.
 struct PersistStats {
   u64 checkpoints_written = 0;
   u64 checkpoint_bytes = 0;

@@ -112,6 +112,10 @@ class FaultInjector {
   bool fire(FaultSite site, u32 instance);
 
   u32 hang_ms() const noexcept { return plan_.hang_ms; }
+  // The schedule this injector was built from; a process fleet rebuilds
+  // one injector per worker process from these.
+  u64 seed() const noexcept { return seed_; }
+  const FaultPlan& plan() const noexcept { return plan_; }
 
   FaultStats stats() const;
   // Faults delivered to one instance, across all sites.

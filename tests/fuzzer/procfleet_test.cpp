@@ -1,7 +1,7 @@
 // Tests for the multi-process fleet runtime (fuzzer/procfleet).
 //
-// Key properties, mirroring the thread supervisor's acceptance but with
-// real process deaths:
+// Key properties, mirroring the thread fleet's acceptance but with real
+// process deaths:
 //  - a seeded chaos storm (SIGKILL-self, SIGSTOP-stall, exit-mid-publish,
 //    mmap-fail, in-campaign kill) converges to exactly the fault-free
 //    run's crash union and exec budget;
@@ -99,14 +99,15 @@ TEST(ProcFleetTest, ChaosStormMatchesFaultFreeRun) {
 
   const std::string storm_dir = fresh_dir("storm");
   ProcFleetConfig fc = make_config(storm_dir);
-  fc.fault_enabled = true;
-  fc.fault_seed = 77;
+  FaultPlan plan;
+  plan.triggers.push_back({FaultSite::kInstanceKill, 0, 800});
+  plan.triggers.push_back({FaultSite::kProcKill, 1, 2});
+  plan.triggers.push_back({FaultSite::kProcStall, 2, 5});
+  plan.triggers.push_back({FaultSite::kProcExitMidPublish, 3, 3});
+  plan.hang_ms = 20;
+  FaultInjector inj(77, plan);
+  fc.fault = &inj;
   fc.chaos_check_interval = 64;
-  fc.fault_plan.triggers.push_back({FaultSite::kInstanceKill, 0, 800});
-  fc.fault_plan.triggers.push_back({FaultSite::kProcKill, 1, 2});
-  fc.fault_plan.triggers.push_back({FaultSite::kProcStall, 2, 5});
-  fc.fault_plan.triggers.push_back({FaultSite::kProcExitMidPublish, 3, 3});
-  fc.fault_plan.hang_ms = 20;
 
   ProcFleetResult r = run_process_fleet(target.program, seeds, fc);
   EXPECT_TRUE(r.all_completed());
@@ -125,9 +126,10 @@ TEST(ProcFleetTest, HangKillTriageCatchesStalledWorker) {
   const std::string dir = fresh_dir("stall");
   ProcFleetConfig fc = make_config(dir);
   fc.num_workers = 2;
-  fc.fault_enabled = true;
-  fc.fault_seed = 7;
-  fc.fault_plan.triggers.push_back({FaultSite::kProcStall, 1, 1});
+  FaultPlan plan;
+  plan.triggers.push_back({FaultSite::kProcStall, 1, 1});
+  FaultInjector inj(7, plan);
+  fc.fault = &inj;
 
   ProcFleetResult r = run_process_fleet(target.program, seeds, fc);
   EXPECT_TRUE(r.all_completed());
@@ -143,10 +145,11 @@ TEST(ProcFleetTest, OomExitIsTriagedAndRetried) {
   const std::string dir = fresh_dir("oom");
   ProcFleetConfig fc = make_config(dir);
   fc.num_workers = 2;
-  fc.fault_enabled = true;
-  fc.fault_seed = 7;
   // First PageBuffer allocation of worker 1 throws bad_alloc -> exit 42.
-  fc.fault_plan.triggers.push_back({FaultSite::kAllocFail, 1, 0});
+  FaultPlan plan;
+  plan.triggers.push_back({FaultSite::kAllocFail, 1, 0});
+  FaultInjector inj(7, plan);
+  fc.fault = &inj;
 
   ProcFleetResult r = run_process_fleet(target.program, seeds, fc);
   EXPECT_TRUE(r.all_completed());
@@ -161,9 +164,10 @@ TEST(ProcFleetTest, ShmAttachFailureIsTriagedAndRetried) {
   const std::string dir = fresh_dir("shmfail");
   ProcFleetConfig fc = make_config(dir);
   fc.num_workers = 2;
-  fc.fault_enabled = true;
-  fc.fault_seed = 7;
-  fc.fault_plan.triggers.push_back({FaultSite::kMmapFail, 0, 0});
+  FaultPlan plan;
+  plan.triggers.push_back({FaultSite::kMmapFail, 0, 0});
+  FaultInjector inj(7, plan);
+  fc.fault = &inj;
 
   ProcFleetResult r = run_process_fleet(target.program, seeds, fc);
   EXPECT_TRUE(r.all_completed());
@@ -177,16 +181,17 @@ TEST(ProcFleetTest, QuarantineParksRepeatOffenderWithExactBudget) {
   auto seeds = make_seed_corpus(target, 4, 1);
   const std::string dir = fresh_dir("quarantine");
   ProcFleetConfig fc = make_config(dir);
-  fc.fault_enabled = true;
-  fc.fault_seed = 7;
   fc.quarantine_deaths = 3;
   fc.quarantine_window_ms = 60000;
   // Worker 1 SIGKILLs itself on three consecutive chaos checks across
   // three process generations (occurrences are cumulative via the shm
   // mirror, so each relaunch consumes the next trigger).
-  fc.fault_plan.triggers.push_back({FaultSite::kProcKill, 1, 1});
-  fc.fault_plan.triggers.push_back({FaultSite::kProcKill, 1, 2});
-  fc.fault_plan.triggers.push_back({FaultSite::kProcKill, 1, 3});
+  FaultPlan plan;
+  plan.triggers.push_back({FaultSite::kProcKill, 1, 1});
+  plan.triggers.push_back({FaultSite::kProcKill, 1, 2});
+  plan.triggers.push_back({FaultSite::kProcKill, 1, 3});
+  FaultInjector inj(7, plan);
+  fc.fault = &inj;
 
   ProcFleetResult r = run_process_fleet(target.program, seeds, fc);
   ASSERT_EQ(r.workers.size(), 4u);
@@ -232,9 +237,10 @@ TEST(ProcFleetTest, ProcfleetCountersReachRegistryAndStatsFile) {
   const std::string dir = fresh_dir("telemetry");
   ProcFleetConfig fc = make_config(dir);
   fc.num_workers = 2;
-  fc.fault_enabled = true;
-  fc.fault_seed = 7;
-  fc.fault_plan.triggers.push_back({FaultSite::kProcKill, 1, 1});
+  FaultPlan plan;
+  plan.triggers.push_back({FaultSite::kProcKill, 1, 1});
+  FaultInjector inj(7, plan);
+  fc.fault = &inj;
   telemetry::FleetTelemetry fleet(2);
   fc.telemetry = &fleet;
 
